@@ -60,7 +60,7 @@ func run() error {
 		frameStart := t
 		for !rt.Done() {
 			node := rt.Current()
-			layers = appendBlock(layers, node.EdgeLayers)
+			layers = nn.AppendShifted(layers, node.EdgeLayers)
 			blockMS, err := blockLatency(ts.Problem.Base, layers, len(layers)-len(node.EdgeLayers), est.Edge)
 			if err != nil {
 				return err
@@ -72,7 +72,7 @@ func run() error {
 		}
 		// Final (terminal) block.
 		node := rt.Current()
-		layers = appendBlock(layers, node.EdgeLayers)
+		layers = nn.AppendShifted(layers, node.EdgeLayers)
 		blockMS, err := blockLatency(ts.Problem.Base, layers, len(layers)-len(node.EdgeLayers), est.Edge)
 		if err != nil {
 			return err
@@ -129,17 +129,6 @@ func run() error {
 			w, sres.Cut, sres.Latency.TotalMS())
 	}
 	return nil
-}
-
-func appendBlock(dst, src []nn.Layer) []nn.Layer {
-	off := len(dst)
-	for _, l := range src {
-		if l.Type == nn.Add && l.SkipFrom >= 0 {
-			l.SkipFrom += off
-		}
-		dst = append(dst, l)
-	}
-	return dst
 }
 
 func blockLatency(base *nn.Model, layers []nn.Layer, from int, dev latency.Device) (float64, error) {

@@ -111,8 +111,8 @@ func (o *Oracle) Evaluate(m *nn.Model, distilled bool) (float64, error) {
 	}
 	n := len(m.Layers)
 	loss := 0.0
-	for i, l := range m.Layers {
-		p, ok := o.PenaltyPerLayer[l.Tag]
+	for i := range m.Layers {
+		p, ok := o.PenaltyPerLayer[m.Layers[i].Tag]
 		if !ok || p == 0 {
 			continue
 		}
@@ -141,22 +141,18 @@ func (o *Oracle) Evaluate(m *nn.Model, distilled bool) (float64, error) {
 // [-NoisePct, +NoisePct] from the model hash — the run-to-run variance of a
 // real training job, reproducible across calls.
 func (o *Oracle) jitter(m *nn.Model) float64 {
-	if o.NoisePct <= 0 {
+	if o.NoisePct <= 0 || isBaseArchitecture(m) {
 		return 0
 	}
-	h := m.Hash()
 	// Map 64 hash bits to [0,1).
-	u := float64(h%1_000_003) / 1_000_003
-	if isBaseArchitecture(m) {
-		return 0
-	}
+	u := float64(m.Hash()%1_000_003) / 1_000_003
 	return (2*u - 1) * o.NoisePct
 }
 
 // isBaseArchitecture reports whether no layer carries a compression tag.
 func isBaseArchitecture(m *nn.Model) bool {
-	for _, l := range m.Layers {
-		if l.Tag != "" {
+	for i := range m.Layers {
+		if m.Layers[i].Tag != "" {
 			return false
 		}
 	}

@@ -128,6 +128,11 @@ func wgBalanceFunc(pass *Pass, fn flowFunc) {
 							if !ok {
 								return true
 							}
+							if recv, _, _ := syncMethod(pass, call); declaredWithin(baseIdentObj(pass, recv), lit.Body.Pos(), lit.Body.End()) {
+								// A WaitGroup declared inside the goroutine
+								// belongs to the literal's own pass.
+								return true
+							}
 							switch name {
 							case "Done":
 								events[blk.Index] = append(events[blk.Index], wgEvent{

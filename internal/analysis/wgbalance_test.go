@@ -168,3 +168,41 @@ func external(start func(done func())) {
 `
 	checkAnalyzer(t, WGBalance, "example.com/wg", src, nil)
 }
+
+// A WaitGroup local to a goroutine nested two levels deep is analysed once,
+// by the literal that declares it: the balanced wave there is clean, and the
+// unbalanced one is reported exactly once, not again by each enclosing
+// function.
+func TestWGBalanceGoroutineLocalNestedTwoDeep(t *testing.T) {
+	const src = `package wg
+
+import "sync"
+
+func nested(ch chan int) {
+	go func() {
+		go func() {
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ch <- 1
+			}()
+			wg.Wait()
+		}()
+	}()
+	go func() {
+		go func() {
+			var wg sync.WaitGroup
+			go func() {
+				defer wg.Done()
+				ch <- 2
+			}()
+			wg.Wait()
+		}()
+	}()
+}
+`
+	checkAnalyzer(t, WGBalance, "example.com/wg", src, []want{
+		{line: 20, message: "no wg.Add is guaranteed on every path before the spawn"},
+	})
+}

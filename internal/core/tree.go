@@ -110,12 +110,12 @@ func (t *ModelTree) ComposeBranch(b Branch) (Candidate, error) {
 	}
 	var layers []nn.Layer
 	for _, n := range b.Nodes {
-		layers = appendShifted(layers, n.EdgeLayers)
+		layers = nn.AppendShifted(layers, n.EdgeLayers)
 	}
 	cut := len(layers) - 1
 	last := b.Nodes[len(b.Nodes)-1]
 	if last.Partitioned() {
-		layers = appendShifted(layers, last.CloudTail)
+		layers = nn.AppendShifted(layers, last.CloudTail)
 	}
 	m := &nn.Model{
 		Name:    t.Base.Name,
@@ -130,19 +130,6 @@ func (t *ModelTree) ComposeBranch(b Branch) (Candidate, error) {
 		return Candidate{}, fmt.Errorf("core: branch composition invalid: %w", err)
 	}
 	return Candidate{Model: m, Cut: cut}, nil
-}
-
-// appendShifted appends src to dst, shifting local Add skip indices by the
-// insertion offset so they stay correct in the concatenated model.
-func appendShifted(dst, src []nn.Layer) []nn.Layer {
-	off := len(dst)
-	for _, l := range src {
-		if l.Type == nn.Add && l.SkipFrom >= 0 {
-			l.SkipFrom += off
-		}
-		dst = append(dst, l)
-	}
-	return dst
 }
 
 // BestBranch returns the branch with the highest node reward at its terminal

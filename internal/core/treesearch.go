@@ -458,7 +458,7 @@ func (g *treeGen) node(blockIdx, fork int, prefix []nn.Layer, w float64, alpha f
 	if isLast {
 		return node, nil
 	}
-	childPrefix := appendShifted(append([]nn.Layer(nil), prefix...), node.EdgeLayers)
+	childPrefix := nn.AppendShifted(append([]nn.Layer(nil), prefix...), node.EdgeLayers)
 	node.Children = make([]*TreeNode, g.k)
 	for k := 0; k < g.k; k++ {
 		child, err := g.node(blockIdx+1, k, childPrefix, g.cfg.ClassMbps[k], alpha)

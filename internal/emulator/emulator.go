@@ -335,7 +335,7 @@ func (tp *treePolicy) infer(env *environment, t0 float64) (float64, float64, flo
 		node := rt.Current()
 		// Execute this block's edge layers.
 		start := len(layers)
-		layers = appendLayers(layers, node.EdgeLayers)
+		layers = nn.AppendShifted(layers, node.EdgeLayers)
 		partial := &nn.Model{Name: env.p.Base.Name, Input: env.p.Base.Input, Layers: layers}
 		blockMS, err := latency.RangeMS(partial, start, len(layers), env.p.Est.Edge)
 		if err != nil {
@@ -384,17 +384,4 @@ func (tp *treePolicy) infer(env *environment, t0 float64) (float64, float64, flo
 		return 0, 0, 0, err
 	}
 	return total, acc, eb.TotalMJ(), nil
-}
-
-// appendLayers appends src to dst shifting local skip indices, mirroring the
-// tree composition rules.
-func appendLayers(dst, src []nn.Layer) []nn.Layer {
-	off := len(dst)
-	for _, l := range src {
-		if l.Type == nn.Add && l.SkipFrom >= 0 {
-			l.SkipFrom += off
-		}
-		dst = append(dst, l)
-	}
-	return dst
 }

@@ -10,24 +10,33 @@ import (
 // LayerMS returns the estimated computational latency in milliseconds of
 // layer i of m on dev.
 func LayerMS(m *nn.Model, i int, dev Device) (float64, error) {
-	per, err := m.MACCsPerLayer()
+	c, err := m.Costs()
 	if err != nil {
 		return 0, err
 	}
-	if i < 0 || i >= len(per) {
+	if i < 0 || i >= c.Len() {
 		return 0, fmt.Errorf("latency: layer %d out of range", i)
 	}
-	dims, err := m.InferDims()
-	if err != nil {
-		return 0, err
-	}
-	return layerMS(m.Layers[i], per[i], dev, dims[i].Out), nil
+	return costMS(m, c, i, &dev), nil
 }
 
-func layerMS(l nn.Layer, maccs int64, dev Device, out nn.Shape) float64 {
-	if maccs == 0 && !l.HasWeights() {
-		return 0
+// PerLayerMS returns the estimated computational latency in milliseconds of
+// every layer of m on dev, read from c, which must be m's cost table
+// (m.Costs()). Element i equals RangeMS(m, i, i+1, dev) bit for bit.
+func PerLayerMS(m *nn.Model, c *nn.Costs, dev Device) []float64 {
+	out := make([]float64, c.Len())
+	for i := range out {
+		out[i] = costMS(m, c, i, &dev)
 	}
+	return out
+}
+
+// costMS is layer i's latency on dev, read from m's cost table c.
+func costMS(m *nn.Model, c *nn.Costs, i int, dev *Device) float64 {
+	return layerMS(&m.Layers[i], c.MACCs(i), dev, c.Dims(i).Out)
+}
+
+func layerMS(l *nn.Layer, maccs int64, dev *Device, out nn.Shape) float64 {
 	spatial := false
 	var coeff float64
 	switch l.Type {
@@ -47,12 +56,12 @@ func layerMS(l nn.Layer, maccs int64, dev Device, out nn.Shape) float64 {
 	case nn.FC:
 		coeff = dev.FCCoeffNS
 	case nn.Add:
-		if l.Out > 0 { // projection shortcut is a 1×1 conv
-			coeff = dev.convCoeff(1)
-			spatial = true
-		} else {
+		// An identity add is free; a projection shortcut is a 1×1 conv.
+		if l.Out <= 0 || maccs == 0 {
 			return 0
 		}
+		coeff = dev.convCoeff(1)
+		spatial = true
 	default:
 		// Pooling, normalisation, activation, dropout: negligible per the
 		// paper's measurements ("cost little time ... and can be ignored");
@@ -74,24 +83,27 @@ func layerMS(l nn.Layer, maccs int64, dev Device, out nn.Shape) float64 {
 }
 
 // RangeMS returns the summed computational latency in milliseconds of layers
-// [from, to) of m on dev. An empty range costs zero.
+// [from, to) of m on dev. An empty range costs zero. The per-layer terms are
+// added in layer order, so the result equals the in-order sum of PerLayerMS
+// over the same range bit for bit.
 func RangeMS(m *nn.Model, from, to int, dev Device) (float64, error) {
 	if from < 0 || to > len(m.Layers) || from > to {
 		return 0, fmt.Errorf("latency: range [%d,%d) invalid for %d layers", from, to, len(m.Layers))
 	}
-	per, err := m.MACCsPerLayer()
+	c, err := m.Costs()
 	if err != nil {
 		return 0, err
 	}
-	dims, err := m.InferDims()
-	if err != nil {
-		return 0, err
-	}
+	return sumMS(m, c, from, to, &dev), nil
+}
+
+// sumMS is RangeMS over an already-built cost table.
+func sumMS(m *nn.Model, c *nn.Costs, from, to int, dev *Device) float64 {
 	total := 0.0
 	for i := from; i < to; i++ {
-		total += layerMS(m.Layers[i], per[i], dev, dims[i].Out)
+		total += costMS(m, c, i, dev)
 	}
-	return total, nil
+	return total
 }
 
 // ModelMS returns the full-model computational latency in milliseconds.

@@ -65,7 +65,7 @@ func (d Device) Validate() error {
 }
 
 // convCoeff returns the ns/MACC coefficient for the given kernel size.
-func (d Device) convCoeff(kernel int) float64 {
+func (d *Device) convCoeff(kernel int) float64 {
 	if c, ok := d.ConvCoeffNS[kernel]; ok {
 		return c
 	}

@@ -51,19 +51,17 @@ func (e *Estimator) EndToEnd(m *nn.Model, cut int, bandwidthMbps float64) (Break
 	if cut < -1 || cut >= n {
 		return Breakdown{}, fmt.Errorf("latency: cut %d out of range [-1,%d)", cut, n)
 	}
-	var b Breakdown
-	edgeEnd := cut + 1
-	var err error
-	b.EdgeMS, err = RangeMS(m, 0, edgeEnd, e.Edge)
+	c, err := m.Costs()
 	if err != nil {
 		return Breakdown{}, err
 	}
-	b.CloudMS, err = RangeMS(m, edgeEnd, n, e.Cloud)
-	if err != nil {
-		return Breakdown{}, err
+	edgeEnd := cut + 1
+	b := Breakdown{
+		EdgeMS:  sumMS(m, c, 0, edgeEnd, &e.Edge),
+		CloudMS: sumMS(m, c, edgeEnd, n, &e.Cloud),
 	}
 	if cut < n-1 {
-		size, err := m.FeatureBytes(cut)
+		size, err := c.FeatureBytes(cut)
 		if err != nil {
 			return Breakdown{}, err
 		}

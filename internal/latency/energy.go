@@ -66,20 +66,20 @@ func (e EnergyModel) EdgeEnergy(m *nn.Model, cut int, transferMS, cloudMS float6
 	if cut < -1 || cut >= n {
 		return EnergyBreakdown{}, fmt.Errorf("latency: cut %d out of range [-1,%d)", cut, n)
 	}
-	per, err := m.MACCsPerLayer()
+	c, err := m.Costs()
 	if err != nil {
 		return EnergyBreakdown{}, err
 	}
 	var edgeMACCs int64
 	for i := 0; i <= cut; i++ {
-		edgeMACCs += per[i]
+		edgeMACCs += c.MACCs(i)
 	}
 	b := EnergyBreakdown{
 		ComputeMJ: float64(edgeMACCs) * e.ComputeNJPerMACC / 1e6,
 		BaseMJ:    e.BaseMJ,
 	}
 	if cut < n-1 {
-		bytes, err := m.FeatureBytes(cut)
+		bytes, err := c.FeatureBytes(cut)
 		if err != nil {
 			return EnergyBreakdown{}, err
 		}

@@ -433,3 +433,18 @@ func TestConvCoeffFallback(t *testing.T) {
 		t.Fatal("fallback coefficient must produce positive latency")
 	}
 }
+
+func BenchmarkRangeMS(b *testing.B) {
+	phone := Phone()
+	for _, m := range []*nn.Model{nn.VGG11(nn.CIFARInput, nn.CIFARClasses), nn.ResNet50(nn.ImageNetInput, 1000)} {
+		b.Run(m.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			n := len(m.Layers)
+			for i := 0; i < b.N; i++ {
+				if _, err := RangeMS(m, 0, n, phone); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -150,3 +150,17 @@ func (m *Model) Slice(b Block) []Layer {
 	copy(out, m.Layers[b.Start:b.End])
 	return out
 }
+
+// AppendShifted appends src to dst, shifting src's Add skip sources by
+// len(dst) so they stay correct in the concatenated layer sequence — how the
+// model tree composes blocks into one model.
+func AppendShifted(dst, src []Layer) []Layer {
+	off := len(dst)
+	dst = append(dst, src...)
+	for i := off; i < len(dst); i++ {
+		if l := &dst[i]; l.Type == Add && l.SkipFrom >= 0 {
+			l.SkipFrom += off
+		}
+	}
+	return dst
+}

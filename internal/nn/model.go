@@ -3,7 +3,7 @@ package nn
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
+	"strconv"
 )
 
 // BytesPerElement is the wire/storage width of one activation or weight
@@ -52,7 +52,8 @@ func (m *Model) Clone() *Model {
 func (m *Model) InferDims() ([]Dims, error) {
 	dims := make([]Dims, len(m.Layers))
 	cur := m.Input
-	for i, l := range m.Layers {
+	for i := range m.Layers {
+		l := &m.Layers[i]
 		dims[i].In = cur
 		out, err := outputShape(l, cur, dims, i)
 		if err != nil {
@@ -64,7 +65,7 @@ func (m *Model) InferDims() ([]Dims, error) {
 	return dims, nil
 }
 
-func outputShape(l Layer, in Shape, dims []Dims, idx int) (Shape, error) {
+func outputShape(l *Layer, in Shape, dims []Dims, idx int) (Shape, error) {
 	switch l.Type {
 	case Conv:
 		if l.In != in.C {
@@ -177,7 +178,7 @@ func (m *Model) Normalize() error {
 			}
 			l.In = cur.C
 		}
-		out, err := outputShape(*l, cur, dims, i)
+		out, err := outputShape(l, cur, dims, i)
 		if err != nil {
 			return fmt.Errorf("nn: model %q layer %d (%s): %w", m.Name, i, l.Type, err)
 		}
@@ -192,18 +193,15 @@ func (m *Model) Normalize() error {
 // dropout are counted as zero ("cost little time ... and can be ignored").
 // KSVD sparsity scales effective MACCs by (1 − Sparsity).
 func (m *Model) MACCsPerLayer() ([]int64, error) {
-	dims, err := m.InferDims()
+	c, err := m.Costs()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int64, len(m.Layers))
-	for i, l := range m.Layers {
-		out[i] = layerMACCs(l, dims[i])
-	}
-	return out, nil
+	// c is private to this call, so its slice can be handed out.
+	return c.maccs, nil
 }
 
-func layerMACCs(l Layer, d Dims) int64 {
+func layerMACCs(l *Layer, d Dims) int64 {
 	switch l.Type {
 	case Conv:
 		// Eq. 4: K·K·Cin·Cout·Hout·Wout.
@@ -267,13 +265,13 @@ func (m *Model) ParamsPerLayer() ([]int64, error) {
 		return nil, err
 	}
 	out := make([]int64, len(m.Layers))
-	for i, l := range m.Layers {
-		out[i] = layerParams(l, dims[i])
+	for i := range m.Layers {
+		out[i] = layerParams(&m.Layers[i], dims[i])
 	}
 	return out, nil
 }
 
-func layerParams(l Layer, d Dims) int64 {
+func layerParams(l *Layer, d Dims) int64 {
 	switch l.Type {
 	case Conv:
 		return applySparsity(int64(l.Kernel)*int64(l.Kernel)*int64(l.In)*int64(l.Out), l.Sparsity) + int64(l.Out)
@@ -336,25 +334,55 @@ func (m *Model) FeatureBytes(i int) (int64, error) {
 	if i == -1 {
 		return m.Input.Bytes(), nil
 	}
-	dims, err := m.InferDims()
+	c, err := m.Costs()
 	if err != nil {
 		return 0, err
 	}
-	if i < 0 || i >= len(dims) {
-		return 0, fmt.Errorf("nn: feature index %d out of range [−1,%d)", i, len(dims))
+	return c.FeatureBytes(i)
+}
+
+// FNV-1a 64-bit parameters (the hash/fnv constants).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnv1a(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
 	}
-	return dims[i].Out.Bytes(), nil
+	return h
 }
 
 // Hash returns a stable FNV-1a digest of the architecture (name excluded) —
-// the key of the decision engine's memory pool.
+// the key of the decision engine's memory pool. It hashes
+// "CxHxW|classes|" and then "i:<Layer.String>;In;SkipFrom;" per layer,
+// rendered into a stack buffer so the call does not allocate.
 func (m *Model) Hash() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%dx%dx%d|%d|", m.Input.C, m.Input.H, m.Input.W, m.Classes)
-	for i, l := range m.Layers {
-		fmt.Fprintf(h, "%d:%s;%d;%d;", i, l.String(), l.In, l.SkipFrom)
+	var buf [128]byte
+	b := strconv.AppendInt(buf[:0], int64(m.Input.C), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(m.Input.H), 10)
+	b = append(b, 'x')
+	b = strconv.AppendInt(b, int64(m.Input.W), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(m.Classes), 10)
+	b = append(b, '|')
+	h := fnv1a(fnvOffset64, b)
+	for i := range m.Layers {
+		l := &m.Layers[i]
+		b = strconv.AppendInt(buf[:0], int64(i), 10)
+		b = append(b, ':')
+		b = l.appendString(b)
+		b = append(b, ';')
+		b = strconv.AppendInt(b, int64(l.In), 10)
+		b = append(b, ';')
+		b = strconv.AppendInt(b, int64(l.SkipFrom), 10)
+		b = append(b, ';')
+		h = fnv1a(h, b)
 	}
-	return h.Sum64()
+	return h
 }
 
 // MarshalJSON implements json.Marshaler (the default struct encoding).

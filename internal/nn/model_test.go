@@ -277,3 +277,15 @@ func TestParamBytesQuantization(t *testing.T) {
 		t.Fatalf("8-bit storage %d must be a quarter of %d", qBytes, full)
 	}
 }
+
+func TestAppendShiftedRebasesSkips(t *testing.T) {
+	prefix := []Layer{NewConv(3, 8, 3, 1, 1), NewReLU()}
+	block := []Layer{NewConv(8, 8, 3, 1, 1), NewAdd(0), NewProjAdd(-1, 8, 8, 1)}
+	got := AppendShifted(append([]Layer(nil), prefix...), block)
+	if len(got) != 5 || got[3].SkipFrom != 2 || got[4].SkipFrom != -1 {
+		t.Fatalf("AppendShifted = %+v, want block skip 0 rebased to 2 and -1 kept", got)
+	}
+	if block[1].SkipFrom != 0 {
+		t.Fatal("AppendShifted must not modify src")
+	}
+}

@@ -9,11 +9,7 @@ import (
 // hyper-parameters, output shapes, MACCs and parameters — the torchsummary
 // view the examples and tools print.
 func (m *Model) Summary() (string, error) {
-	dims, err := m.InferDims()
-	if err != nil {
-		return "", err
-	}
-	maccs, err := m.MACCsPerLayer()
+	c, err := m.Costs()
 	if err != nil {
 		return "", err
 	}
@@ -27,8 +23,8 @@ func (m *Model) Summary() (string, error) {
 	var totalMACCs, totalParams int64
 	for i, l := range m.Layers {
 		fmt.Fprintf(&b, "%-4d %-24s %-12s %12d %12d\n",
-			i, l.String(), dims[i].Out.String(), maccs[i], params[i])
-		totalMACCs += maccs[i]
+			i, l.String(), c.Dims(i).Out.String(), c.MACCs(i), params[i])
+		totalMACCs += c.MACCs(i)
 		totalParams += params[i]
 	}
 	bytes, err := m.ParamBytes()

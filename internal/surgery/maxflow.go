@@ -4,19 +4,22 @@
 // capacities encode edge compute, cloud compute and transfer costs.
 package surgery
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
+
+// arc is one directed residual arc; arcs are stored in pairs, so a^1 is the
+// reverse of arc a.
+type arc struct {
+	to   int
+	next int // next arc out of the same node, -1 at the end of the list
+	cap  float64
+}
 
 // graph is a capacitated directed graph for max-flow with adjacency lists of
 // paired residual arcs.
 type graph struct {
 	n    int
 	head []int // per-node first arc index, -1 when none
-	to   []int
-	next []int
-	cap  []float64
+	arcs []arc
 }
 
 func newGraph(n int) *graph {
@@ -27,18 +30,19 @@ func newGraph(n int) *graph {
 	return &graph{n: n, head: head}
 }
 
+// reserve makes room for the given number of addArc calls, so building a
+// graph of known size does not regrow its arc array.
+func (g *graph) reserve(arcs int) {
+	g.arcs = make([]arc, 0, 2*arcs)
+}
+
 // addArc inserts a directed arc u→v with the given capacity plus its zero-
 // capacity residual twin.
 func (g *graph) addArc(u, v int, capacity float64) {
-	g.to = append(g.to, v)
-	g.cap = append(g.cap, capacity)
-	g.next = append(g.next, g.head[u])
-	g.head[u] = len(g.to) - 1
-
-	g.to = append(g.to, u)
-	g.cap = append(g.cap, 0)
-	g.next = append(g.next, g.head[v])
-	g.head[v] = len(g.to) - 1
+	g.arcs = append(g.arcs, arc{to: v, next: g.head[u], cap: capacity})
+	g.head[u] = len(g.arcs) - 1
+	g.arcs = append(g.arcs, arc{to: u, next: g.head[v]})
+	g.head[v] = len(g.arcs) - 1
 }
 
 // maxflow runs Edmonds–Karp from s to t and returns the max-flow value.
@@ -46,20 +50,19 @@ func (g *graph) addArc(u, v int, capacity float64) {
 func (g *graph) maxflow(s, t int) float64 {
 	total := 0.0
 	parentArc := make([]int, g.n)
+	queue := make([]int, 0, g.n) // each node is enqueued at most once per BFS
 	for {
 		for i := range parentArc {
 			parentArc[i] = -1
 		}
 		// BFS on the residual graph.
-		queue := make([]int, 0, g.n)
-		queue = append(queue, s)
+		queue = append(queue[:0], s)
 		parentArc[s] = -2
-		for len(queue) > 0 && parentArc[t] == -1 {
-			u := queue[0]
-			queue = queue[1:]
-			for a := g.head[u]; a != -1; a = g.next[a] {
-				v := g.to[a]
-				if parentArc[v] == -1 && g.cap[a] > 1e-12 {
+		for head := 0; head < len(queue) && parentArc[t] == -1; head++ {
+			u := queue[head]
+			for a := g.head[u]; a != -1; a = g.arcs[a].next {
+				v := g.arcs[a].to
+				if parentArc[v] == -1 && g.arcs[a].cap > 1e-12 {
 					parentArc[v] = a
 					queue = append(queue, v)
 				}
@@ -72,16 +75,16 @@ func (g *graph) maxflow(s, t int) float64 {
 		bottleneck := math.Inf(1)
 		for v := t; v != s; {
 			a := parentArc[v]
-			if g.cap[a] < bottleneck {
-				bottleneck = g.cap[a]
+			if g.arcs[a].cap < bottleneck {
+				bottleneck = g.arcs[a].cap
 			}
-			v = g.to[a^1]
+			v = g.arcs[a^1].to
 		}
 		for v := t; v != s; {
 			a := parentArc[v]
-			g.cap[a] -= bottleneck
-			g.cap[a^1] += bottleneck
-			v = g.to[a^1]
+			g.arcs[a].cap -= bottleneck
+			g.arcs[a^1].cap += bottleneck
+			v = g.arcs[a^1].to
 		}
 		total += bottleneck
 		if math.IsInf(total, 1) {
@@ -99,20 +102,13 @@ func (g *graph) minCutSourceSide(s int) []bool {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for a := g.head[u]; a != -1; a = g.next[a] {
-			v := g.to[a]
-			if !side[v] && g.cap[a] > 1e-12 {
+		for a := g.head[u]; a != -1; a = g.arcs[a].next {
+			v := g.arcs[a].to
+			if !side[v] && g.arcs[a].cap > 1e-12 {
 				side[v] = true
 				queue = append(queue, v)
 			}
 		}
 	}
 	return side
-}
-
-func validateNode(n, v int) error {
-	if v < 0 || v >= n {
-		return fmt.Errorf("surgery: node %d out of range [0,%d)", v, n)
-	}
-	return nil
 }

@@ -37,27 +37,27 @@ func Partition(m *nn.Model, est *latency.Estimator, bandwidthMbps float64) (*Res
 	if n == 0 {
 		return nil, fmt.Errorf("surgery: empty model")
 	}
-	edgeMS := make([]float64, n)
-	cloudMS := make([]float64, n)
-	var err error
-	for i := 0; i < n; i++ {
-		edgeMS[i], err = latency.RangeMS(m, i, i+1, est.Edge)
-		if err != nil {
-			return nil, err
-		}
-		cloudMS[i], err = latency.RangeMS(m, i, i+1, est.Cloud)
-		if err != nil {
-			return nil, err
-		}
+	p, err := newPricing(m, est)
+	if err != nil {
+		return nil, err
 	}
 	// Nodes: 0..n-1 layers, n = input holder, n+1 = source, n+2 = sink.
 	inputNode, src, sink := n, n+1, n+2
+	skips := 0
+	for j := range m.Layers {
+		if isSkipArc(&m.Layers[j], j) {
+			skips++
+		}
+	}
+	// Arcs: source→input, two compute arcs per layer, and a forward plus a
+	// backflow arc per data edge (input→0, the n-1 chain links, the skips).
 	g := newGraph(n + 3)
+	g.reserve(1 + 2*n + 2*(n+skips))
 	inf := math.Inf(1)
 	g.addArc(src, inputNode, inf) // input data lives on the edge
 	for i := 0; i < n; i++ {
-		g.addArc(src, i, cloudMS[i])
-		g.addArc(i, sink, edgeMS[i])
+		g.addArc(src, i, p.cloudMS[i])
+		g.addArc(i, sink, p.edgeMS[i])
 	}
 	addDataArc := func(u, v int, bytes int64) {
 		t := est.Transfer.MS(bytes, bandwidthMbps)
@@ -69,21 +69,21 @@ func Partition(m *nn.Model, est *latency.Estimator, bandwidthMbps float64) (*Res
 		g.addArc(u, v, t)
 		g.addArc(v, u, inf) // forbid cloud→edge backflow
 	}
-	inBytes, err := m.FeatureBytes(-1)
+	inBytes, err := p.costs.FeatureBytes(-1)
 	if err != nil {
 		return nil, err
 	}
 	addDataArc(inputNode, 0, inBytes)
 	for i := 0; i < n-1; i++ {
-		bytes, err := m.FeatureBytes(i)
+		bytes, err := p.costs.FeatureBytes(i)
 		if err != nil {
 			return nil, err
 		}
 		addDataArc(i, i+1, bytes)
 	}
-	for j, l := range m.Layers {
-		if l.Type == nn.Add && l.SkipFrom >= 0 && l.SkipFrom != j-1 {
-			bytes, err := m.FeatureBytes(l.SkipFrom)
+	for j := range m.Layers {
+		if l := &m.Layers[j]; isSkipArc(l, j) {
+			bytes, err := p.costs.FeatureBytes(l.SkipFrom)
 			if err != nil {
 				return nil, err
 			}
@@ -93,18 +93,42 @@ func Partition(m *nn.Model, est *latency.Estimator, bandwidthMbps float64) (*Res
 	g.maxflow(src, sink)
 	side := g.minCutSourceSide(src)
 
-	res := &Result{EdgeSide: make([]bool, n), Cut: -1}
-	for i := 0; i < n; i++ {
-		res.EdgeSide[i] = side[i]
-	}
+	res := &Result{EdgeSide: side[:n:n], Cut: -1}
 	for i := 0; i < n && res.EdgeSide[i]; i++ {
 		res.Cut = i
 	}
-	res.Latency, err = Evaluate(m, res.EdgeSide, est, bandwidthMbps)
+	res.Latency, err = p.evaluate(m, res.EdgeSide, est, bandwidthMbps)
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// isSkipArc reports whether layer j is an Add whose skip source is not its
+// direct predecessor, i.e. whether it adds a data edge beyond the chain.
+func isSkipArc(l *nn.Layer, j int) bool {
+	return l.Type == nn.Add && l.SkipFrom >= 0 && l.SkipFrom != j-1
+}
+
+// pricing is a model's cost table plus its per-layer compute latency on the
+// edge and on the cloud: everything Partition and Evaluate price an
+// assignment with, computed once per call.
+type pricing struct {
+	costs   *nn.Costs
+	edgeMS  []float64
+	cloudMS []float64
+}
+
+func newPricing(m *nn.Model, est *latency.Estimator) (*pricing, error) {
+	c, err := m.Costs()
+	if err != nil {
+		return nil, err
+	}
+	return &pricing{
+		costs:   c,
+		edgeMS:  latency.PerLayerMS(m, c, est.Edge),
+		cloudMS: latency.PerLayerMS(m, c, est.Cloud),
+	}, nil
 }
 
 // Evaluate computes the Eq. 3 latency breakdown of an arbitrary edge/cloud
@@ -112,20 +136,26 @@ func Partition(m *nn.Model, est *latency.Estimator, bandwidthMbps float64) (*Res
 // cloud compute. Crossing tensors are shipped back-to-back over one
 // connection, so the RTT is paid once.
 func Evaluate(m *nn.Model, edgeSide []bool, est *latency.Estimator, bandwidthMbps float64) (latency.Breakdown, error) {
-	n := len(m.Layers)
-	if len(edgeSide) != n {
-		return latency.Breakdown{}, fmt.Errorf("surgery: assignment length %d for %d layers", len(edgeSide), n)
+	if len(edgeSide) != len(m.Layers) {
+		return latency.Breakdown{}, fmt.Errorf("surgery: assignment length %d for %d layers", len(edgeSide), len(m.Layers))
 	}
+	p, err := newPricing(m, est)
+	if err != nil {
+		return latency.Breakdown{}, err
+	}
+	return p.evaluate(m, edgeSide, est, bandwidthMbps)
+}
+
+// evaluate is Evaluate on an already-priced model; edgeSide has one entry
+// per layer.
+func (p *pricing) evaluate(m *nn.Model, edgeSide []bool, est *latency.Estimator, bandwidthMbps float64) (latency.Breakdown, error) {
+	n := len(m.Layers)
 	var b latency.Breakdown
 	for i := 0; i < n; i++ {
-		ms, err := latency.RangeMS(m, i, i+1, pick(est, edgeSide[i]))
-		if err != nil {
-			return latency.Breakdown{}, err
-		}
 		if edgeSide[i] {
-			b.EdgeMS += ms
+			b.EdgeMS += p.edgeMS[i]
 		} else {
-			b.CloudMS += ms
+			b.CloudMS += p.cloudMS[i]
 		}
 	}
 	var crossBytes int64
@@ -135,7 +165,7 @@ func Evaluate(m *nn.Model, edgeSide []bool, est *latency.Estimator, bandwidthMbp
 			producerEdge = edgeSide[producer]
 		}
 		if producerEdge && !consumerEdge {
-			bytes, err := m.FeatureBytes(producer)
+			bytes, err := p.costs.FeatureBytes(producer)
 			if err != nil {
 				return err
 			}
@@ -143,16 +173,13 @@ func Evaluate(m *nn.Model, edgeSide []bool, est *latency.Estimator, bandwidthMbp
 		}
 		return nil
 	}
-	if err := addCross(-1, edgeSide[0]); err != nil {
-		return latency.Breakdown{}, err
-	}
-	for i := 1; i < n; i++ {
+	for i := 0; i < n; i++ {
 		if err := addCross(i-1, edgeSide[i]); err != nil {
 			return latency.Breakdown{}, err
 		}
 	}
-	for j, l := range m.Layers {
-		if l.Type == nn.Add && l.SkipFrom >= 0 && l.SkipFrom != j-1 {
+	for j := range m.Layers {
+		if l := &m.Layers[j]; isSkipArc(l, j) {
 			if err := addCross(l.SkipFrom, edgeSide[j]); err != nil {
 				return latency.Breakdown{}, err
 			}
@@ -162,13 +189,6 @@ func Evaluate(m *nn.Model, edgeSide []bool, est *latency.Estimator, bandwidthMbp
 		b.TransferMS = est.Transfer.MS(crossBytes, bandwidthMbps)
 	}
 	return b, nil
-}
-
-func pick(est *latency.Estimator, edge bool) latency.Device {
-	if edge {
-		return est.Edge
-	}
-	return est.Cloud
 }
 
 // OptimalChainCut enumerates every clean cut (including all-edge and

@@ -20,6 +20,9 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+echo "== perfbench module (vet + test: the benchmark must keep building against the API it drives)"
+(cd perfbench && GOPROXY=off GOFLAGS=-mod=mod go vet ./... && GOPROXY=off GOFLAGS=-mod=mod go test ./...)
+
 echo "== cadmc-vet ./...  (twelve analyzers, cross-package facts, baseline gate)"
 go run ./cmd/cadmc-vet -json -baseline vet-baseline.json ./... > /dev/null
 
@@ -60,7 +63,8 @@ go test -race -count=2 -run 'Determinism|Snapshot|Trace|Registry' ./internal/tel
 go test -race -count=2 -run 'TestRunTraceBitIdenticalReplay' ./internal/emulator
 
 echo "== bench smoke (every benchmark must still run)"
-go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./internal/report
+go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./internal/report \
+    ./internal/surgery ./internal/latency
 
 echo "== wire determinism (bit-exact mode must replay identically at any GOMAXPROCS)"
 for procs in 1 4 8; do
