@@ -3,8 +3,8 @@
 // one offload's worth of work per op (request frame encoded and decoded,
 // response frame encoded and decoded):
 //
-//   - gob: the original encoding/gob framing, kept as compat fallback and
-//     fuzz oracle;
+//   - gob: the original encoding/gob framing, no longer on the live path and
+//     kept only as this bench's reference encoding and the fuzz oracle;
 //   - binary: the hand-rolled length-prefixed binary codec, bit-exact
 //     float64 activations;
 //   - binary_f32: the same codec with negotiated activation narrowing
@@ -231,13 +231,14 @@ func measureDrift(inputs int, seed int64) (driftStats, error) {
 	if err != nil {
 		return driftStats{}, err
 	}
-	newExec := func(narrow bool) (*serving.SplitExecutor, *serving.Client, error) {
-		c, err := serving.Dial(lis.Addr().String())
+	newExec := func(narrow bool) (*serving.SplitExecutor, *serving.ResilientClient, error) {
+		c, err := serving.DialResilient(lis.Addr().String(), serving.ResilientOptions{
+			Timeout:           30 * time.Second,
+			NarrowActivations: narrow,
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		c.Timeout = 30 * time.Second
-		c.Wire = serving.WireConfig{NarrowActivations: narrow}
 		return &serving.SplitExecutor{Edge: v.Net, ModelID: v.ModelID, Client: c}, c, nil
 	}
 	exact, exactClient, err := newExec(false)

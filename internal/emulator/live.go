@@ -13,10 +13,10 @@ import (
 )
 
 // LiveOptions configures a live replay: unlike the analytic emulation and
-// field modes, live mode ships real gob frames over a real loopback socket
-// while faultnet injects the scenario's network faults, exercising the
-// serving layer's retry, circuit-breaker and edge-fallback machinery end to
-// end on a deterministic virtual clock.
+// field modes, live mode ships real binary wire frames over a real loopback
+// socket while faultnet injects the scenario's network faults, exercising
+// the serving layer's retry, circuit-breaker and edge-fallback machinery end
+// to end on a deterministic virtual clock.
 type LiveOptions struct {
 	// Inferences is the number of back-to-back requests (default: one per
 	// input).

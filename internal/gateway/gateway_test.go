@@ -55,6 +55,18 @@ func startCloud(t *testing.T) (string, *serving.Server) {
 	return lis.Addr().String(), srv
 }
 
+// dialOffloader gives each gateway worker its own resilient offload client to
+// the cloud at addr; closeOffloader releases it.
+func dialOffloader(addr string) func(int) (serving.Offloader, error) {
+	return func(int) (serving.Offloader, error) {
+		return serving.DialResilient(addr, serving.ResilientOptions{})
+	}
+}
+
+func closeOffloader(o serving.Offloader) error {
+	return o.(*serving.ResilientClient).Close()
+}
+
 // Admission control must shed deterministically: per-session fairness first,
 // queue capacity second, and a closed gateway completes (never drops) what
 // it already accepted.
@@ -181,15 +193,8 @@ func TestGatewayServesAcrossSwapWithoutDrops(t *testing.T) {
 		PerSessionLimit: -1,
 		MaxBatch:        4,
 		MaxWait:         time.Millisecond,
-		NewOffloader: func(int) (serving.Offloader, error) {
-			return serving.Dial(srvAddr)
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			if c, ok := o.(*serving.Client); ok {
-				return c.Close()
-			}
-			return nil
-		},
+		NewOffloader:    dialOffloader(srvAddr),
+		CloseOffloader:  closeOffloader,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -301,112 +306,6 @@ func TestGatewayServesAcrossSwapWithoutDrops(t *testing.T) {
 	}
 	if rep.MeanEncodeNS <= 0 || rep.MeanDecodeNS <= 0 {
 		t.Fatalf("mean encode/decode ns = %v/%v, want both > 0", rep.MeanEncodeNS, rep.MeanDecodeNS)
-	}
-}
-
-// A fleet where half the clients predate wire v1 must interoperate with one
-// binary-speaking server: per-worker negotiation lands each connection on its
-// own codec (gob for the version-mismatched workers, binary for the rest)
-// and every logit stays bit-identical to an out-of-band recompute.
-func TestGatewayMixedVersionFleet(t *testing.T) {
-	srvAddr, srv := startCloud(t)
-	p := demoProvider(t, 31, srv.Register)
-	var mu sync.Mutex
-	clients := map[int]*serving.Client{}
-	gw, err := New(Config{
-		Workers:         4,
-		QueueCapacity:   256,
-		PerSessionLimit: -1,
-		MaxBatch:        4,
-		MaxWait:         time.Millisecond,
-		NewOffloader: func(id int) (serving.Offloader, error) {
-			c, err := serving.Dial(srvAddr)
-			if err != nil {
-				return nil, err
-			}
-			if id%2 == 1 {
-				// An "old" client proposing a future version the server
-				// declines — the handshake falls back to gob.
-				c.Wire = serving.WireConfig{Version: 9}
-			}
-			mu.Lock()
-			clients[id] = c
-			mu.Unlock()
-			return c, nil
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			return o.(*serving.Client).Close()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := p.ForClass(1) // the partitioned variant: every request offloads
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gw.SetVariant(v); err != nil {
-		t.Fatal(err)
-	}
-	if err := gw.Start(); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(32))
-	// Enough batches that every worker participates: 16 batch pops against 4
-	// workers, each pop gated behind a full offload round trip.
-	const total = 64
-	inputs := make([]*tensor.Tensor, total)
-	chans := make([]<-chan Result, total)
-	for i := 0; i < total; i++ {
-		inputs[i] = demoInput(rng)
-		ch, err := gw.Submit("s", inputs[i])
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		chans[i] = ch
-	}
-	results := make([]Result, total)
-	for i := range chans {
-		results[i] = <-chans[i]
-	}
-	rep := gw.Stop()
-
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("request %d: %v", i, res.Err)
-		}
-		want, err := v.Net.Forward(inputs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range want.Data {
-			if res.Logits[j] != want.Data[j] { //cadmc:allow floateq — bit-exactness across mixed codecs is the contract under test
-				t.Fatalf("request %d logit %d differs from recompute", i, j)
-			}
-		}
-	}
-	if rep.Completed != total || rep.Routes.Offloaded != total {
-		t.Fatalf("completed=%d offloaded=%d, want %d/%d", rep.Completed, rep.Routes.Offloaded, total, total)
-	}
-	protos := map[string]int{}
-	mu.Lock()
-	for id, c := range clients {
-		proto := c.WireProtocol()
-		if proto == "" {
-			continue // this worker never offloaded
-		}
-		want := "binary-v1"
-		if id%2 == 1 {
-			want = "gob"
-		}
-		if proto != want {
-			t.Fatalf("worker %d negotiated %q, want %q", id, proto, want)
-		}
-		protos[proto]++
-	}
-	mu.Unlock()
-	if protos["binary-v1"] == 0 || protos["gob"] == 0 {
-		t.Fatalf("want both codecs active in the fleet, got %v", protos)
 	}
 }
 
@@ -605,15 +504,8 @@ func TestGatewayConcurrentSubmitters(t *testing.T) {
 		PerSessionLimit: 4,
 		MaxBatch:        8,
 		MaxWait:         time.Millisecond,
-		NewOffloader: func(int) (serving.Offloader, error) {
-			return serving.Dial(srvAddr)
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			if c, ok := o.(*serving.Client); ok {
-				return c.Close()
-			}
-			return nil
-		},
+		NewOffloader:    dialOffloader(srvAddr),
+		CloseOffloader:  closeOffloader,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,113 @@ package serving
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"sync"
 	"time"
 )
+
+// errPayloadTooLarge aborts a gob decode whose frame exceeds the
+// per-request byte budget.
+var errPayloadTooLarge = errors.New("serving: request frame exceeds the payload limit")
+
+// byteLimitedReader meters a stream's reads against a per-frame budget so
+// one malicious or corrupt length prefix cannot force the gob decoder to
+// buffer an unbounded frame. The budget is reset before each request.
+type byteLimitedReader struct {
+	r         io.Reader
+	limit     int64
+	remaining int64
+}
+
+func (b *byteLimitedReader) reset() { b.remaining = b.limit }
+
+func (b *byteLimitedReader) Read(p []byte) (int, error) {
+	if b.remaining <= 0 {
+		return 0, errPayloadTooLarge
+	}
+	if int64(len(p)) > b.remaining {
+		p = p[:b.remaining]
+	}
+	n, err := b.r.Read(p)
+	b.remaining -= int64(n)
+	return n, err
+}
+
+// codec is the seam WireBench drives. Two implementations exist: binCodec
+// (the binary protocol in wire.go — the only codec on the live path) and
+// gobCodec below, kept solely as the bench's reference encoding and the fuzz
+// suite's differential oracle.
+type codec interface {
+	writeRequest(*Request) error
+	readRequest(*Request) error
+	writeResponse(*Response) error
+	readResponse(*Response) error
+}
+
+// gobCodec wraps a stream with gob encode/decode and a write lock.
+type gobCodec struct {
+	enc *gob.Encoder
+	dec *gob.Decoder
+	// lim, when non-nil, meters each readRequest against a byte budget
+	// (server side only).
+	lim *byteLimitedReader
+	mu  sync.Mutex
+}
+
+func newGobCodec(conn io.ReadWriter) *gobCodec {
+	return &gobCodec{
+		enc: gob.NewEncoder(conn),
+		dec: gob.NewDecoder(conn),
+	}
+}
+
+// newLimitedGobCodec builds a gob codec whose request reads are metered
+// against limitBytes per frame — the budgeted decoder the fuzz oracle runs.
+func newLimitedGobCodec(conn io.ReadWriter, limitBytes int64) *gobCodec {
+	lim := &byteLimitedReader{r: conn, limit: limitBytes}
+	return &gobCodec{
+		enc: gob.NewEncoder(conn),
+		dec: gob.NewDecoder(lim),
+		lim: lim,
+	}
+}
+
+func (c *gobCodec) writeRequest(r *Request) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.enc.Encode(r); err != nil {
+		return fmt.Errorf("serving: encode request: %w", err)
+	}
+	return nil
+}
+
+func (c *gobCodec) readRequest(r *Request) error {
+	if c.lim != nil {
+		c.lim.reset()
+	}
+	// Gob omits zero-valued fields on the wire, so decoding into a reused
+	// struct would leak the previous frame's values; reset first.
+	*r = Request{}
+	return c.dec.Decode(r)
+}
+
+func (c *gobCodec) writeResponse(r *Response) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.enc.Encode(r); err != nil {
+		return fmt.Errorf("serving: encode response: %w", err)
+	}
+	return nil
+}
+
+func (c *gobCodec) readResponse(r *Response) error {
+	*r = Response{}
+	return c.dec.Decode(r)
+}
 
 // Wire bench modes accepted by NewWireBench. They name the codec being
 // driven, not a negotiation outcome: the bench bypasses the handshake and

@@ -53,11 +53,11 @@ type ResilientOptions struct {
 	// wire frame bytes and encode/decode cost under serving.wire.*. Nil
 	// disables metering (and skips the clock reads it would need).
 	Metrics MetricSink
-	// Wire configures the codec negotiation run on every (re-)dial. The
-	// zero value proposes the binary protocol with bit-exact float64
-	// activations and falls back to gob against servers that decline or
-	// predate the handshake.
-	Wire WireConfig
+	// NarrowActivations asks the handshake for float32 narrowing of
+	// request activations: half the bytes on the wire, at the cost of
+	// bit-exactness (drift is measured by cmd/wirebench). Only honoured when
+	// the server grants it; false keeps every determinism contract intact.
+	NarrowActivations bool
 }
 
 // DefaultResilientOptions returns the production tuning.
@@ -117,21 +117,20 @@ type ResilientStats struct {
 	Resyncs int64
 }
 
-// ResilientClient is the hardened edge side of the offload channel: it
-// redials automatically with exponential backoff and jitter, poisons and
+// ResilientClient is the edge side of the offload channel, and the only
+// offload client: it redials automatically with exponential backoff and jitter, poisons and
 // replaces its codec after any unrecoverable transport error (a
 // desynchronized stream is never reused — the one exception is a checksum
 // resync, where the frame boundary provably survived and the same
 // connection carries the retry), bounds retries per request with idempotent
 // request IDs, and trips a circuit breaker that stops hammering a dead
-// cloud. Like Client it serialises requests: one in flight at a time.
+// cloud. It serialises requests: one in flight at a time.
 type ResilientClient struct {
 	opts ResilientOptions
 
 	mu      sync.Mutex
 	dial    func() (net.Conn, error)
-	codec   codec
-	wire    WireConfig
+	codec   *binCodec
 	broken  bool
 	closed  bool
 	nextID  uint64
@@ -150,10 +149,20 @@ func NewResilientClient(dial func() (net.Conn, error), opts ResilientOptions) (*
 	return &ResilientClient{
 		opts:    opts,
 		dial:    dial,
-		wire:    opts.Wire,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		breaker: NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown, opts.Now),
 	}, nil
+}
+
+// offloadRequest builds the wire frame for one logical offload.
+func offloadRequest(id uint64, modelID string, cut int, shape []int, data []float64) *Request {
+	return &Request{
+		ID:         id,
+		ModelID:    modelID,
+		Cut:        cut,
+		Shape:      append([]int(nil), shape...),
+		Activation: data,
+	}
 }
 
 // DialResilient builds a resilient client that (re-)dials addr over TCP.
@@ -231,67 +240,8 @@ func (c *ResilientClient) meterStart() time.Duration {
 // when the retry budget is exhausted, and a *RemoteError (never retried)
 // when the server rejected the request itself.
 func (c *ResilientClient) Offload(modelID string, cut int, act *tensor.Tensor) ([]float64, error) {
-	if act == nil {
-		return nil, errors.New("serving: nil activation")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, errors.New("serving: resilient client closed")
-	}
-	start := c.meterStart()
-	c.nextID++
-	req := offloadRequest(c.nextID, modelID, cut, act.Shape, act.Data)
-	var lastErr error
-	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			c.stats.Retries++
-			c.count(metricOffloadRetries, 1)
-			c.opts.Sleep(c.backoff(attempt))
-		}
-		if !c.breaker.Allow() {
-			c.count(metricOffloadRejectedOpen, 1)
-			if lastErr != nil {
-				return nil, fmt.Errorf("%w (last transport error: %v)", ErrCircuitOpen, lastErr)
-			}
-			return nil, ErrCircuitOpen
-		}
-		c.count(metricOffloadAttempts, 1)
-		//cadmc:allow deadline -- attempt arms the conn deadline itself whenever a timeout is configured; Timeout==0 is the documented unbounded mode
-		logits, err := c.attempt(req, c.opts.Timeout)
-		if err == nil {
-			c.breaker.Success()
-			c.stats.Offloads++
-			c.meterSuccess(start)
-			return logits, nil
-		}
-		var remote *RemoteError
-		if errors.As(err, &remote) {
-			// The transport round trip worked; the request was bad. Counts
-			// for the breaker as a success and is not worth retrying.
-			c.breaker.Success()
-			c.stats.RemoteErrors++
-			c.count(metricOffloadRemoteErrors, 1)
-			return nil, err
-		}
-		if errors.Is(err, ErrFrameResync) {
-			// A frame was damaged in flight but the stream stayed aligned:
-			// retryable on the same connection, and not evidence of a dead
-			// cloud — the breaker does not count it.
-			c.stats.Resyncs++
-			c.count(metricOffloadResyncs, 1)
-			lastErr = err
-			continue
-		}
-		tripped := c.breaker.Failure()
-		if tripped {
-			c.stats.BreakerOpens++
-		}
-		c.meterFailure(tripped)
-		lastErr = err
-	}
-	c.count(metricOffloadUnavailable, 1)
-	return nil, fmt.Errorf("%w: %d attempts failed: %v", ErrUnavailable, c.opts.MaxAttempts, lastErr)
+	//cadmc:allow deadline -- every attempt arms the conn deadline whenever Timeout is configured; Timeout==0 is the documented unbounded mode
+	return c.offload(modelID, cut, act, 0)
 }
 
 // OffloadWithin is Offload bounded by a deadline budget covering the whole
@@ -301,36 +251,58 @@ func (c *ResilientClient) Offload(modelID string, cut int, act *tensor.Tensor) (
 // returns ErrBudgetExhausted — which SplitExecutor sheds rather than falls
 // back on, because a too-late answer has no fallback worth computing.
 func (c *ResilientClient) OffloadWithin(modelID string, cut int, act *tensor.Tensor, budget time.Duration) ([]float64, error) {
+	if act != nil && budget <= 0 {
+		return nil, ErrBudgetExhausted
+	}
+	//cadmc:allow deadline -- a positive budget always arms a per-attempt conn deadline, clipped to what remains of it
+	return c.offload(modelID, cut, act, budget)
+}
+
+// offload is the one retry loop behind Offload (budget 0: unbounded) and
+// OffloadWithin (budget > 0). The injected clock is read exactly where the
+// replay suites expect it: a bounded call always stamps its start and reads
+// the clock before each backoff and each attempt; an unbounded call reads it
+// only for metering, when a sink is attached.
+func (c *ResilientClient) offload(modelID string, cut int, act *tensor.Tensor, budget time.Duration) ([]float64, error) {
 	if act == nil {
 		return nil, errors.New("serving: nil activation")
-	}
-	if budget <= 0 {
-		return nil, ErrBudgetExhausted
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, errors.New("serving: resilient client closed")
 	}
-	start := c.now()
+	bounded := budget > 0
+	var start time.Duration
+	if bounded {
+		start = c.now()
+		c.count(metricOffloadRequests, 1)
+	} else {
+		start = c.meterStart()
+	}
 	deadline := start + budget
-	c.count(metricOffloadRequests, 1)
 	c.nextID++
 	req := offloadRequest(c.nextID, modelID, cut, act.Shape, act.Data)
 	var lastErr error
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			wait := c.backoff(attempt)
-			if c.now()+wait >= deadline {
+			if bounded && c.now()+wait >= deadline {
 				break
 			}
 			c.stats.Retries++
 			c.count(metricOffloadRetries, 1)
 			c.opts.Sleep(wait)
 		}
-		remaining := deadline - c.now()
-		if remaining <= 0 {
-			break
+		timeout := c.opts.Timeout
+		if bounded {
+			remaining := deadline - c.now()
+			if remaining <= 0 {
+				break
+			}
+			if timeout <= 0 || timeout > remaining {
+				timeout = remaining
+			}
 		}
 		if !c.breaker.Allow() {
 			c.count(metricOffloadRejectedOpen, 1)
@@ -339,44 +311,54 @@ func (c *ResilientClient) OffloadWithin(modelID string, cut int, act *tensor.Ten
 			}
 			return nil, ErrCircuitOpen
 		}
-		timeout := c.opts.Timeout
-		if timeout <= 0 || timeout > remaining {
-			timeout = remaining
-		}
 		c.count(metricOffloadAttempts, 1)
-		//cadmc:allow deadline -- timeout is clamped to the positive remaining budget just above; attempt arms the conn deadline from it
 		logits, err := c.attempt(req, timeout)
-		if err == nil {
+		var remote *RemoteError
+		switch {
+		case err == nil:
 			c.breaker.Success()
 			c.stats.Offloads++
 			c.meterSuccess(start)
 			return logits, nil
-		}
-		var remote *RemoteError
-		if errors.As(err, &remote) {
+		case errors.As(err, &remote):
+			// The transport round trip worked; the request was bad. Counts
+			// for the breaker as a success and is not worth retrying.
 			c.breaker.Success()
 			c.stats.RemoteErrors++
 			c.count(metricOffloadRemoteErrors, 1)
 			return nil, err
-		}
-		if errors.Is(err, ErrFrameResync) {
+		case errors.Is(err, errUnencodable):
+			// Rejected before a byte was written: the stream is intact and
+			// a retry would fail the same way. The live connection (or the
+			// handshake that just opened it) proves the channel, so the
+			// breaker sees a success — which also releases a half-open
+			// probe.
+			c.breaker.Success()
+			return nil, err
+		case errors.Is(err, ErrFrameResync):
+			// A frame was damaged in flight but the stream stayed aligned:
+			// retryable on the same connection, and not evidence of a dead
+			// cloud — the breaker does not count it.
 			c.stats.Resyncs++
 			c.count(metricOffloadResyncs, 1)
-			lastErr = err
-			continue
+		default:
+			tripped := c.breaker.Failure()
+			if tripped {
+				c.stats.BreakerOpens++
+			}
+			c.meterFailure(tripped)
 		}
-		tripped := c.breaker.Failure()
-		if tripped {
-			c.stats.BreakerOpens++
-		}
-		c.meterFailure(tripped)
 		lastErr = err
 	}
-	c.count(metricOffloadBudget, 1)
-	if lastErr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBudgetExhausted, lastErr)
+	if bounded {
+		c.count(metricOffloadBudget, 1)
+		if lastErr != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBudgetExhausted, lastErr)
+		}
+		return nil, ErrBudgetExhausted
 	}
-	return nil, ErrBudgetExhausted
+	c.count(metricOffloadUnavailable, 1)
+	return nil, fmt.Errorf("%w: %d attempts failed: %v", ErrUnavailable, c.opts.MaxAttempts, lastErr)
 }
 
 // now reads the injected clock, or real monotonic time.
@@ -389,37 +371,39 @@ func (c *ResilientClient) now() time.Duration {
 
 // attempt performs one round trip under the given per-attempt timeout (zero
 // means no deadline), redialing and re-negotiating first if the previous
-// codec was poisoned. Callers hold c.mu.
+// codec was poisoned. Every transport error poisons the codec except the two
+// that leave the stream provably aligned: a checksum resync and a request
+// rejected before any byte was written. Callers hold c.mu.
 func (c *ResilientClient) attempt(req *Request, timeout time.Duration) ([]float64, error) {
 	if err := c.ensure(timeout); err != nil {
 		return nil, err
 	}
-	cd := c.codec
+	conn := c.codec.conn
 	if timeout > 0 {
-		if err := cd.netConn().SetDeadline(time.Now().Add(timeout)); err != nil {
+		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
 			c.poison()
 			return nil, fmt.Errorf("serving: set deadline: %w", err)
 		}
 	}
-	if err := cd.writeRequest(req); err != nil {
+	var resp Response
+	err := c.codec.writeRequest(req)
+	if err == nil {
+		if err = c.codec.readResponse(&resp); err != nil && !errors.Is(err, ErrFrameResync) {
+			err = fmt.Errorf("serving: read response: %w", err)
+		}
+	}
+	if err != nil && !errors.Is(err, ErrFrameResync) && !errors.Is(err, errUnencodable) {
 		c.poison()
 		return nil, err
 	}
-	var resp Response
-	if err := cd.readResponse(&resp); err != nil {
-		if errors.Is(err, ErrFrameResync) {
-			// The damaged frame was consumed whole; the stream is aligned
-			// and this same connection can carry the retry.
-			if timeout > 0 {
-				_ = cd.netConn().SetDeadline(time.Time{})
-			}
-			return nil, err
-		}
-		c.poison()
-		return nil, fmt.Errorf("serving: read response: %w", err)
-	}
+	// The stream is aligned: the round trip completed, the damaged frame
+	// was consumed whole, or nothing was written. This same connection
+	// carries the next attempt.
 	if timeout > 0 {
-		_ = cd.netConn().SetDeadline(time.Time{})
+		_ = conn.SetDeadline(time.Time{})
+	}
+	if err != nil {
+		return nil, err
 	}
 	if resp.ID != 0 && resp.ID != req.ID {
 		c.poison()
@@ -433,15 +417,13 @@ func (c *ResilientClient) attempt(req *Request, timeout time.Duration) ([]float6
 
 // ensure establishes a fresh connection when there is none or the previous
 // one was poisoned, and runs the codec handshake on it under the attempt
-// timeout. A server that answers the binary hello with gob framing
-// downgrades this client to gob for every subsequent dial. Callers hold
-// c.mu.
+// timeout. Callers hold c.mu.
 func (c *ResilientClient) ensure(timeout time.Duration) error {
 	if c.codec != nil && !c.broken {
 		return nil
 	}
 	if c.codec != nil {
-		_ = c.codec.netConn().Close()
+		_ = c.codec.conn.Close()
 		c.codec = nil
 	}
 	conn, err := c.dial()
@@ -456,14 +438,9 @@ func (c *ResilientClient) ensure(timeout time.Duration) error {
 			return fmt.Errorf("serving: set handshake deadline: %w", err)
 		}
 	}
-	cd, err := negotiate(conn, c.wire, DefaultMaxPayloadElems, c.opts.Metrics, c.wireNowNS())
+	cd, err := negotiate(conn, c.opts.NarrowActivations, c.opts.Metrics, c.wireNowNS())
 	if err != nil {
 		_ = conn.Close()
-		if errors.Is(err, errLegacyGobServer) {
-			// Sticky downgrade: stop proposing the binary protocol to a
-			// server that predates it.
-			c.wire.Mode = WireGob
-		}
 		return fmt.Errorf("serving: negotiate: %w", err)
 	}
 	if timeout > 0 {
@@ -488,14 +465,14 @@ func (c *ResilientClient) wireNowNS() func() int64 {
 }
 
 // WireProtocol reports the codec the current connection negotiated —
-// "binary-v1", "binary-v1+f32" or "gob" — or "" when no connection is live.
+// "binary-v1" or "binary-v1+f32" — or "" when no connection is live.
 func (c *ResilientClient) WireProtocol() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.codec == nil {
 		return ""
 	}
-	return wireName(c.codec)
+	return c.codec.protocol()
 }
 
 // poison marks the current codec unusable and closes its connection; the
@@ -503,7 +480,7 @@ func (c *ResilientClient) WireProtocol() string {
 func (c *ResilientClient) poison() {
 	c.broken = true
 	if c.codec != nil {
-		_ = c.codec.netConn().Close()
+		_ = c.codec.conn.Close()
 	}
 }
 
@@ -538,7 +515,7 @@ func (c *ResilientClient) Close() error {
 	if c.codec == nil {
 		return nil
 	}
-	err := c.codec.netConn().Close()
+	err := c.codec.conn.Close()
 	c.codec = nil
 	return err
 }

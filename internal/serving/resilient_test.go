@@ -2,6 +2,7 @@ package serving
 
 import (
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"sync/atomic"
@@ -26,52 +27,70 @@ func fastOpts() ResilientOptions {
 	}
 }
 
-// TestClientPoisonedAfterTimeout is the satellite bugfix regression: a plain
-// Client that suffered a deadline mid-read must refuse to reuse the
-// desynchronized gob stream.
+// TestClientPoisonedAfterTimeout: an attempt that hit its deadline mid-read
+// leaves a desynchronized stream, so the client must close that connection
+// and the next attempt must redial rather than read a stale frame off it.
 func TestClientPoisonedAfterTimeout(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	accepted := make(chan net.Conn, 1)
+	// A server that completes the handshake, swallows the request and never
+	// answers; it reports each connection the client hangs up on.
+	hungUp := make(chan int, 2)
 	go func() {
-		conn, err := lis.Accept()
-		if err == nil {
-			accepted <- conn
+		for i := 0; ; i++ {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func(i int, conn net.Conn) {
+				defer conn.Close()
+				bc := newBinCodec(conn, 0, nil, nil, serverWireNames)
+				var hello frame
+				if bc.readFrame(&hello) != nil || bc.writeHelloAck(wireV1, 0) != nil {
+					return
+				}
+				_, _ = io.Copy(io.Discard, conn)
+				hungUp <- i
+			}(i, conn)
 		}
 	}()
-	client, err := Dial(lis.Addr().String())
+	opts := fastOpts()
+	opts.Timeout = 50 * time.Millisecond
+	opts.MaxAttempts = 1
+	client, err := DialResilient(lis.Addr().String(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.Timeout = 50 * time.Millisecond
 	act := tensor.New(3, 12, 12)
 	if _, err := client.Offload("m", -1, act); err == nil {
 		t.Fatal("expected timeout error against a mute server")
 	}
-	if !client.Broken() {
-		t.Fatal("client must be poisoned after a transport error")
-	}
-	// Every subsequent call fails fast with the sentinel, not a stale frame.
-	if _, err := client.Offload("m", -1, act); !errors.Is(err, ErrClientBroken) {
-		t.Fatalf("second call err = %v, want ErrClientBroken", err)
-	}
 	select {
-	case conn := <-accepted:
-		_ = conn.Close()
-	default:
+	case i := <-hungUp:
+		if i != 0 {
+			t.Fatalf("client hung up on connection %d, want 0", i)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("client kept the timed-out connection open")
+	}
+	if _, err := client.Offload("m", -1, act); err == nil {
+		t.Fatal("expected timeout error against a mute server")
+	}
+	if st := client.Stats(); st.Redials != 2 || st.Offloads != 0 {
+		t.Fatalf("stats = %+v, want the second attempt on a fresh connection (2 redials)", st)
 	}
 }
 
 // TestClientSurvivesRemoteErrors pins down the flip side: application-level
-// rejections keep the stream in sync and must NOT poison the client.
+// rejections keep the stream in sync and must NOT poison the connection.
 func TestClientSurvivesRemoteErrors(t *testing.T) {
 	model := testNet(t, 31)
 	addr := startServer(t, "m", model)
-	client, err := Dial(addr)
+	client, err := dialTest(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +101,11 @@ func TestClientSurvivesRemoteErrors(t *testing.T) {
 	if !errors.As(err, &remote) {
 		t.Fatalf("err = %v, want *RemoteError", err)
 	}
-	if client.Broken() {
-		t.Fatal("remote error must not poison the client")
-	}
 	if _, err := client.Offload("m", -1, act); err != nil {
 		t.Fatalf("client unusable after remote error: %v", err)
+	}
+	if st := client.Stats(); st.Redials != 1 || st.Retries != 0 || st.RemoteErrors != 1 {
+		t.Fatalf("stats = %+v, want one connection carrying both calls", st)
 	}
 }
 
@@ -133,7 +152,7 @@ func TestServerEnforcesMaxPayloadElems(t *testing.T) {
 		_ = srv.Close()
 		<-done
 	}()
-	client, err := Dial(lis.Addr().String())
+	client, err := dialTest(lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +543,7 @@ func TestServerIdleTimeoutReapsDeadConnections(t *testing.T) {
 		t.Fatalf("mute conn read = %v, want server-side close before our 5s guard", err)
 	}
 	// Healthy clients are unaffected as long as they keep talking.
-	client, err := Dial(lis.Addr().String())
+	client, err := dialTest(lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,5 +553,46 @@ func TestServerIdleTimeoutReapsDeadConnections(t *testing.T) {
 			t.Fatalf("healthy request %d: %v", i, err)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestResilientLocalEncodeErrorNotRetried: a request the client cannot encode
+// (here a 256-dimensional shape, past the wire format's u8 rank) is rejected
+// before a byte is written. That is not a transport failure: it must return
+// at once without a retry, keep the connection, and leave the breaker alone,
+// so the next valid request still goes through.
+func TestResilientLocalEncodeErrorNotRetried(t *testing.T) {
+	model := testNet(t, 43)
+	addr := startServer(t, "m", model)
+	opts := fastOpts()
+	opts.BreakerThreshold = 4
+	client, err := DialResilient(addr, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	good := tensor.New(3, 12, 12)
+	if _, err := client.Offload("m", -1, good); err != nil {
+		t.Fatal(err)
+	}
+	shape := make([]int, 256)
+	for i := range shape {
+		shape[i] = 1
+	}
+	bad := &tensor.Tensor{Shape: shape, Data: []float64{1}}
+	for i := 0; i < 2; i++ {
+		_, err := client.Offload("m", -1, bad)
+		if !errors.Is(err, errUnencodable) {
+			t.Fatalf("bad call %d err = %v, want a local encode error", i, err)
+		}
+	}
+	if st := client.Stats(); st.Retries != 0 || st.Redials != 1 || st.BreakerOpens != 0 {
+		t.Fatalf("stats = %+v, want 0 retries, 1 redial, 0 breaker opens", st)
+	}
+	if _, err := client.Offload("m", -1, good); err != nil {
+		t.Fatalf("valid offload after encode errors: %v", err)
+	}
+	if st := client.Stats(); st.Redials != 1 || st.Offloads != 2 {
+		t.Fatalf("stats = %+v, want the same connection to carry 2 offloads", st)
 	}
 }

@@ -32,11 +32,6 @@ type Server struct {
 	// Metrics, when set, receives wire frame bytes and decode cost under
 	// serving.server.wire.* names. Set before Serve.
 	Metrics MetricSink
-	// ForceGob skips the codec sniff and speaks legacy gob framing on every
-	// connection, mimicking a server that predates the binary protocol —
-	// the compatibility tests dial such a server to prove new clients
-	// downgrade. Set before Serve.
-	ForceGob bool
 
 	mu     sync.Mutex
 	models map[string]*nn.Net
@@ -158,9 +153,9 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	// The handshake sniffs the first bytes and picks the codec; its reads
-	// run under the same idle deadline as every later frame, so a client
-	// that connects and goes mute is reaped on schedule.
+	// The handshake reads the client's hello under the same idle deadline
+	// as every later frame, so a client that connects and goes mute is
+	// reaped on schedule.
 	c, err := s.handshake(conn)
 	if err != nil {
 		return
@@ -184,8 +179,7 @@ func (s *Server) handle(conn net.Conn) {
 			if errors.Is(err, ErrFrameResync) {
 				// The damaged frame was consumed whole: tell the client the
 				// stream is aligned and keep serving this connection.
-				rs, ok := c.(resyncer)
-				if !ok || rs.writeResync() != nil {
+				if c.writeResync() != nil {
 					return
 				}
 				continue

@@ -39,6 +39,12 @@ func testNet(t *testing.T, seed int64) *nn.Net {
 	return net
 }
 
+// dialTest connects the package's offload client to addr with the quick
+// test tuning; the connection is established lazily on the first Offload.
+func dialTest(addr string) (*ResilientClient, error) {
+	return DialResilient(addr, fastOpts())
+}
+
 // startServer brings up a loopback server with the model registered and
 // returns its address plus a cleanup.
 func startServer(t *testing.T, id string, model *nn.Net) string {
@@ -67,7 +73,7 @@ func startServer(t *testing.T, id string, model *nn.Net) string {
 func TestSplitInferenceMatchesLocalExactly(t *testing.T) {
 	model := testNet(t, 1)
 	addr := startServer(t, "m", model)
-	client, err := Dial(addr)
+	client, err := dialTest(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +101,7 @@ func TestSplitInferenceMatchesLocalExactly(t *testing.T) {
 				t.Fatalf("cut %d: %d logits, want %d", cut, len(got), local.Len())
 			}
 			for i := range got {
-				// gob transmits float64 exactly: results must be identical.
+				// the binary codec ships float64 exactly: results must be identical.
 				if got[i] != local.Data[i] {
 					t.Fatalf("cut %d logit %d: %v vs local %v", cut, i, got[i], local.Data[i])
 				}
@@ -127,7 +133,7 @@ func TestSplitAllEdgeNeedsNoClient(t *testing.T) {
 func TestPredictAgrees(t *testing.T) {
 	model := testNet(t, 4)
 	addr := startServer(t, "m", model)
-	client, err := Dial(addr)
+	client, err := dialTest(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +176,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client, err := Dial(addr)
+			client, err := dialTest(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -207,7 +213,7 @@ func (*mismatchError) Error() string { return "concurrent offload produced wrong
 func TestServerErrors(t *testing.T) {
 	model := testNet(t, 8)
 	addr := startServer(t, "m", model)
-	client, err := Dial(addr)
+	client, err := dialTest(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +263,16 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(lis) }()
-	client, err := Dial(lis.Addr().String())
+	client, err := dialTest(lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	// One round trip establishes the connection the close must kill.
+	act := tensor.New(3, 12, 12)
+	if _, err := client.Offload("m", -1, act); err != nil {
+		t.Fatal(err)
+	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +280,6 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 		t.Fatalf("serve returned %v after close", err)
 	}
 	// Offloading on the dead connection must fail, not hang.
-	act := tensor.New(3, 12, 12)
 	if _, err := client.Offload("m", -1, act); err == nil {
 		t.Fatal("expected error on closed server")
 	}
@@ -291,7 +301,7 @@ func TestMalformedFrameDoesNotCrashServer(t *testing.T) {
 	}
 	_ = raw.Close()
 	// The server must still answer well-formed clients.
-	client, err := Dial(addr)
+	client, err := dialTest(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +349,7 @@ func TestServerStats(t *testing.T) {
 		_ = srv.Close()
 		<-done
 	}()
-	client, err := Dial(lis.Addr().String())
+	client, err := dialTest(lis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,12 +381,14 @@ func TestClientTimeoutAgainstStalledServer(t *testing.T) {
 			accepted <- conn
 		}
 	}()
-	client, err := Dial(lis.Addr().String())
+	opts := fastOpts()
+	opts.Timeout = 50 * time.Millisecond
+	opts.MaxAttempts = 1
+	client, err := DialResilient(lis.Addr().String(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.Timeout = 50 * time.Millisecond
 	start := time.Now()
 	_, err = client.Offload("m", -1, tensor.New(3, 12, 12))
 	if err == nil {
@@ -407,7 +419,7 @@ func TestServeCompressedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := startServer(t, "compressed", q1)
-	client, err := Dial(addr)
+	client, err := dialTest(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

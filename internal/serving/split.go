@@ -11,8 +11,8 @@ import (
 	"cadmc/internal/tensor"
 )
 
-// Offloader is the offload channel SplitExecutor speaks to: both Client and
-// ResilientClient implement it.
+// Offloader is the offload channel SplitExecutor speaks to. ResilientClient
+// implements it; tests substitute stubs.
 type Offloader interface {
 	Offload(modelID string, cut int, act *tensor.Tensor) ([]float64, error)
 }
@@ -169,9 +169,7 @@ func (e *SplitExecutor) endRequests(n int) {
 // offloadUnavailable classifies errors that mean "the channel cannot serve
 // this request", as opposed to the request itself being invalid.
 func offloadUnavailable(err error) bool {
-	return errors.Is(err, ErrUnavailable) ||
-		errors.Is(err, ErrCircuitOpen) ||
-		errors.Is(err, ErrClientBroken)
+	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrCircuitOpen)
 }
 
 // Infer classifies x with the split at `cut`: cut == len(layers)-1 runs

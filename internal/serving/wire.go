@@ -1,4 +1,4 @@
-// Binary wire codec for the offload hot path.
+// Binary wire codec for the offload channel.
 //
 // Frames are length-prefixed with a fixed 20-byte little-endian header:
 //
@@ -14,15 +14,16 @@
 //
 // The header check makes the two failure classes separable: a damaged
 // header (unknown length — the stream cannot be trusted) poisons the
-// connection exactly like a gob desync would, while a damaged payload under
-// an intact header is fully consumed and surfaces as ErrFrameResync — the
-// stream is still frame-aligned and the request can simply be retried on
-// the same connection.
+// connection, while a damaged payload under an intact header is fully
+// consumed and surfaces as ErrFrameResync — the stream is still
+// frame-aligned and the request can simply be retried on the same
+// connection.
 //
-// The first header byte 0xC4 can never begin a gob stream (gob frames open
-// with a varint byte count, whose first byte for any realistic frame is
-// ≤ 0x7F), so a server can sniff two bytes and serve legacy gob clients and
-// binary clients on the same port.
+// Every connection opens with a handshake: the client's 20-byte hello
+// proposes wireV1 and the feature flags it wants; the server's 21-byte hello
+// ack carries the granted flags and the accepted version as a one-byte
+// payload. A server that does not speak the proposed version answers with
+// accepted = 0 and closes the connection.
 package serving
 
 import (
@@ -75,10 +76,11 @@ var ErrFrameResync = errors.New("serving: wire frame failed its payload checksum
 // stream position can no longer be trusted and the connection is poisoned.
 var errBadFrame = errors.New("serving: invalid wire frame")
 
-// errLegacyGobServer reports that the binary hello was answered with gob
-// bytes: the server predates the binary protocol. ResilientClient downgrades
-// to gob for every subsequent dial when it sees this.
-var errLegacyGobServer = errors.New("serving: server answered the binary hello with gob framing")
+// errUnencodable marks a frame rejected before any byte of it was written: a
+// field does not fit the wire format (rank, model id, dimension, element
+// count) or the payload exceeds the frame limit. The stream is untouched, so
+// the connection stays usable, and a retry would fail the same way.
+var errUnencodable = errors.New("serving: frame does not fit the wire format")
 
 // malformedPayloadError reports a frame that was delivered and checksummed
 // intact but whose content is invalid (bad lengths, truncated fields). The
@@ -88,33 +90,6 @@ type malformedPayloadError struct{ reason string }
 
 func (e *malformedPayloadError) Error() string {
 	return "serving: malformed frame payload: " + e.reason
-}
-
-// WireMode selects the transport encoding a client proposes.
-type WireMode int
-
-const (
-	// WireAuto proposes the binary codec and falls back to gob when the
-	// server declines (version mismatch) or predates the handshake.
-	WireAuto WireMode = iota
-	// WireGob skips the handshake and speaks legacy gob framing.
-	WireGob
-)
-
-// WireConfig tunes the client side of the wire protocol. The zero value —
-// WireAuto, current version, bit-exact float64 activations — is the default
-// and keeps every determinism contract intact.
-type WireConfig struct {
-	// Mode selects binary-with-fallback (WireAuto) or legacy gob (WireGob).
-	Mode WireMode
-	// Version proposes a binary protocol version; zero means wireV1. A
-	// server that does not speak the proposed version declines the
-	// handshake and both sides continue with gob on the same connection.
-	Version byte
-	// NarrowActivations requests float32 narrowing of request activations:
-	// half the bytes on the wire, at the cost of bit-exactness (drift is
-	// measured by cmd/wirebench). Only honoured when the server grants it.
-	NarrowActivations bool
 }
 
 // wireMetricNames routes codec metering to side-specific metric names so an
@@ -207,8 +182,7 @@ type frame struct {
 // the destination struct's slice capacity. Steady-state offloads therefore
 // allocate nothing per frame.
 type binCodec struct {
-	conn    net.Conn
-	version byte
+	conn net.Conn
 	// narrow is the negotiated flagActF32: writeRequest ships float32.
 	narrow   bool
 	maxElems int
@@ -232,7 +206,6 @@ func newBinCodec(conn net.Conn, maxElems int, m MetricSink, nowNS func() int64, 
 	}
 	return &binCodec{
 		conn:     conn,
-		version:  wireV1,
 		maxElems: maxElems,
 		maxFrame: int64(maxElems)*8 + 4096,
 		metrics:  m,
@@ -240,8 +213,6 @@ func newBinCodec(conn net.Conn, maxElems int, m MetricSink, nowNS func() int64, 
 		names:    names,
 	}
 }
-
-func (c *binCodec) netConn() net.Conn { return c.conn }
 
 // stamp reads the metering clock, or 0 when metering is off.
 func (c *binCodec) stamp() int64 {
@@ -287,7 +258,7 @@ func (c *binCodec) seal(buf []byte, version, ftype byte, flags uint16) error {
 	payload := buf[wireHeaderLen:]
 	if int64(len(payload)) > c.maxFrame {
 		return fmt.Errorf("%w: %d-byte payload exceeds the %d-byte frame limit",
-			errPayloadTooLarge, len(payload), c.maxFrame)
+			errUnencodable, len(payload), c.maxFrame)
 	}
 	buf[0] = wireMagic0
 	buf[1] = wireMagic1
@@ -327,9 +298,9 @@ func (c *binCodec) readFrame(f *frame) error {
 			errBadFrame, plen, c.maxFrame)
 	}
 	if f.ftype == frameRequest || f.ftype == frameResponse {
-		if f.version != c.version {
+		if f.version != wireV1 {
 			return fmt.Errorf("%w: version %d frame on a version %d stream",
-				errBadFrame, f.version, c.version)
+				errBadFrame, f.version, wireV1)
 		}
 	}
 	if int64(cap(c.rbuf)) < plen {
@@ -354,7 +325,7 @@ func (c *binCodec) writeHello(version byte, want uint16) error {
 }
 
 // writeHelloAck answers a hello: granted flags in the header, the accepted
-// version as a 1-byte payload (0 = proposal declined, continue with gob).
+// version as a 1-byte payload (0 = proposal declined).
 func (c *binCodec) writeHelloAck(accepted byte, granted uint16) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -367,7 +338,7 @@ func (c *binCodec) writeHelloAck(accepted byte, granted uint16) error {
 func (c *binCodec) writeResync() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.seal(c.stage(), c.version, frameResponse, flagResync)
+	return c.seal(c.stage(), wireV1, frameResponse, flagResync)
 }
 
 func (c *binCodec) writeRequest(r *Request) error {
@@ -383,7 +354,7 @@ func (c *binCodec) writeRequest(r *Request) error {
 		return err
 	}
 	n := len(buf)
-	if err := c.seal(buf, c.version, frameRequest, flags); err != nil {
+	if err := c.seal(buf, wireV1, frameRequest, flags); err != nil {
 		return fmt.Errorf("serving: write request frame: %w", err)
 	}
 	c.meterEncode(start, n)
@@ -415,7 +386,7 @@ func (c *binCodec) writeResponse(r *Response) error {
 		return err
 	}
 	n := len(buf)
-	if err := c.seal(buf, c.version, frameResponse, 0); err != nil {
+	if err := c.seal(buf, wireV1, frameResponse, 0); err != nil {
 		return fmt.Errorf("serving: write response frame: %w", err)
 	}
 	c.meterEncode(start, n)
@@ -453,10 +424,10 @@ func (c *binCodec) readResponse(r *Response) error {
 
 func appendRequestPayload(buf []byte, r *Request, narrow bool) ([]byte, error) {
 	if len(r.ModelID) > math.MaxUint16 {
-		return nil, fmt.Errorf("serving: model id of %d bytes does not fit the wire format", len(r.ModelID))
+		return nil, fmt.Errorf("%w: model id of %d bytes", errUnencodable, len(r.ModelID))
 	}
 	if len(r.Shape) > math.MaxUint8 {
-		return nil, fmt.Errorf("serving: %d-dimensional shape does not fit the wire format", len(r.Shape))
+		return nil, fmt.Errorf("%w: %d-dimensional shape", errUnencodable, len(r.Shape))
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, r.ID)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(r.Cut)))
@@ -465,12 +436,12 @@ func appendRequestPayload(buf []byte, r *Request, narrow bool) ([]byte, error) {
 	buf = append(buf, byte(len(r.Shape)))
 	for _, d := range r.Shape {
 		if d < 0 || int64(d) > math.MaxUint32 {
-			return nil, fmt.Errorf("serving: dimension %d does not fit the wire format", d)
+			return nil, fmt.Errorf("%w: dimension %d", errUnencodable, d)
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
 	}
 	if len(r.Activation) > math.MaxUint32 {
-		return nil, fmt.Errorf("serving: %d-element activation does not fit the wire format", len(r.Activation))
+		return nil, fmt.Errorf("%w: %d-element activation", errUnencodable, len(r.Activation))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Activation)))
 	if narrow {
@@ -623,10 +594,10 @@ func parseRequestPayload(p []byte, flags uint16, r *Request, maxElems int) error
 
 func appendResponsePayload(buf []byte, r *Response) ([]byte, error) {
 	if len(r.Err) > math.MaxUint16 {
-		return nil, fmt.Errorf("serving: error string of %d bytes does not fit the wire format", len(r.Err))
+		return nil, fmt.Errorf("%w: error string of %d bytes", errUnencodable, len(r.Err))
 	}
 	if len(r.Logits) > math.MaxUint32 {
-		return nil, fmt.Errorf("serving: %d-element logits do not fit the wire format", len(r.Logits))
+		return nil, fmt.Errorf("%w: %d-element logits", errUnencodable, len(r.Logits))
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, r.ID)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Err)))
@@ -684,54 +655,19 @@ func parseResponsePayload(p []byte, r *Response, maxElems int) error {
 
 // --- negotiation ----------------------------------------------------------
 
-// prefixConn replays sniffed bytes before reading from the wrapped conn,
-// letting the handshake peek at a stream and hand it intact to whichever
-// codec owns it.
-type prefixConn struct {
-	net.Conn
-	pre []byte
-}
-
-func (p *prefixConn) Read(b []byte) (int, error) {
-	if len(p.pre) > 0 {
-		n := copy(b, p.pre)
-		p.pre = p.pre[n:]
-		return n, nil
-	}
-	return p.Conn.Read(b)
-}
-
 // negotiate runs the client half of the handshake on a fresh connection and
-// returns the codec both sides agreed on. WireGob skips the handshake
-// entirely. The caller is responsible for the connection deadline: against a
-// dead or silent peer this blocks until that deadline fires.
-func negotiate(conn net.Conn, cfg WireConfig, maxElems int, m MetricSink, nowNS func() int64) (codec, error) {
-	if cfg.Mode == WireGob {
-		return newGobCodec(conn), nil
-	}
-	version := cfg.Version
-	if version == 0 {
-		version = wireV1
-	}
+// returns the codec both sides agreed on; a server that declines wireV1 is a
+// negotiation error. The caller is responsible for the connection deadline:
+// against a dead or silent peer this blocks until that deadline fires.
+func negotiate(conn net.Conn, narrow bool, m MetricSink, nowNS func() int64) (*binCodec, error) {
 	var want uint16
-	if cfg.NarrowActivations {
+	if narrow {
 		want |= flagActF32
 	}
-	pc := &prefixConn{Conn: conn}
-	bc := newBinCodec(pc, maxElems, m, nowNS, clientWireNames)
-	if err := bc.writeHello(version, want); err != nil {
+	bc := newBinCodec(conn, DefaultMaxPayloadElems, m, nowNS, clientWireNames)
+	if err := bc.writeHello(wireV1, want); err != nil {
 		return nil, fmt.Errorf("serving: wire hello: %w", err)
 	}
-	// Sniff the reply: a pre-handshake gob server answers the hello bytes
-	// with a gob-framed error, never with the binary magic.
-	var first [2]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return nil, fmt.Errorf("serving: wire hello reply: %w", err)
-	}
-	if first[0] != wireMagic0 || first[1] != wireMagic1 {
-		return nil, errLegacyGobServer
-	}
-	pc.pre = []byte{first[0], first[1]}
 	var f frame
 	if err := bc.readFrame(&f); err != nil {
 		return nil, fmt.Errorf("serving: wire hello ack: %w", err)
@@ -739,43 +675,23 @@ func negotiate(conn net.Conn, cfg WireConfig, maxElems int, m MetricSink, nowNS 
 	if f.ftype != frameHelloAck || len(f.payload) < 1 {
 		return nil, fmt.Errorf("%w: malformed hello ack", errBadFrame)
 	}
-	accepted := f.payload[0]
-	if accepted == 0 {
-		// Version declined: both sides continue with gob on this same
-		// connection — a mixed-version fleet needs no second dial.
-		return newGobCodec(conn), nil
+	if accepted := f.payload[0]; accepted != wireV1 {
+		return nil, fmt.Errorf("serving: server accepted wire version %d, proposed %d", accepted, wireV1)
 	}
-	if accepted != version {
-		return nil, fmt.Errorf("%w: server accepted version %d, proposed %d", errBadFrame, accepted, version)
-	}
-	bc.version = accepted
 	bc.narrow = f.flags&flagActF32 != 0
 	return bc, nil
 }
 
-// handshake runs the server half: sniff two bytes, serve binary clients
-// through the negotiated codec and legacy gob clients through a replaying
-// prefixConn. ForceGob mimics a pre-handshake deployment for tests.
-func (s *Server) handshake(conn net.Conn) (codec, error) {
-	budget := int64(s.maxElems())*8 + 4096
-	if s.ForceGob {
-		return newLimitedGobCodec(conn, budget), nil
-	}
+// handshake runs the server half: read the hello and grant the supported
+// subset of the requested flags. A hello proposing any version but wireV1 is
+// answered with accepted = 0 and the connection is dropped.
+func (s *Server) handshake(conn net.Conn) (*binCodec, error) {
 	if s.IdleTimeout > 0 {
 		if err := conn.SetReadDeadline(time.Now().Add(s.IdleTimeout)); err != nil {
 			return nil, err
 		}
 	}
-	var first [2]byte
-	if _, err := io.ReadFull(conn, first[:]); err != nil {
-		return nil, err
-	}
-	if first[0] != wireMagic0 || first[1] != wireMagic1 {
-		pc := &prefixConn{Conn: conn, pre: []byte{first[0], first[1]}}
-		return newLimitedGobCodec(pc, budget), nil
-	}
-	pc := &prefixConn{Conn: conn, pre: []byte{first[0], first[1]}}
-	bc := newBinCodec(pc, s.maxElems(), s.Metrics, realNowNS(s.Metrics), serverWireNames)
+	bc := newBinCodec(conn, s.maxElems(), s.Metrics, realNowNS(s.Metrics), serverWireNames)
 	var f frame
 	if err := bc.readFrame(&f); err != nil {
 		return nil, err
@@ -789,12 +705,10 @@ func (s *Server) handshake(conn net.Conn) (codec, error) {
 		}
 	}
 	if f.version != wireV1 {
-		// Unknown proposal: decline and continue with gob on this same
-		// connection so a newer client still gets served.
 		if err := bc.writeHelloAck(0, 0); err != nil {
 			return nil, err
 		}
-		return newLimitedGobCodec(conn, budget), nil
+		return nil, fmt.Errorf("serving: client proposed unsupported wire version %d", f.version)
 	}
 	granted := f.flags & wireSupportedFlags
 	if err := bc.writeHelloAck(wireV1, granted); err != nil {
@@ -813,24 +727,10 @@ func realNowNS(m MetricSink) func() int64 {
 	return func() int64 { return time.Now().UnixNano() }
 }
 
-// resyncer is the optional codec capability behind the cheap recovery path:
-// only the binary codec can prove a damaged frame was fully consumed.
-type resyncer interface {
-	writeResync() error
-}
-
-// wireName describes a codec for stats and tests.
-func wireName(c codec) string {
-	switch cd := c.(type) {
-	case *binCodec:
-		name := fmt.Sprintf("binary-v%d", cd.version)
-		if cd.narrow {
-			name += "+f32"
-		}
-		return name
-	case *gobCodec:
-		return "gob"
-	default:
-		return ""
+// protocol names the negotiated codec for stats and tests.
+func (c *binCodec) protocol() string {
+	if c.narrow {
+		return "binary-v1+f32"
 	}
+	return "binary-v1"
 }

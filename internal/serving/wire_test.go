@@ -1,6 +1,8 @@
 package serving
 
 import (
+	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -151,9 +153,8 @@ func TestWireZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestWireNegotiationMatrix covers the handshake outcomes: binary where
-// both sides speak it, feature flags granted by intersection, version
-// mismatch falling back to gob on the same connection, explicit gob mode,
-// and legacy-server downgrade through the resilient client's redial.
+// both sides speak it, feature flags granted by intersection, and a version
+// neither side shares declined on both ends.
 func TestWireNegotiationMatrix(t *testing.T) {
 	model := testNet(t, 77)
 	rng := rand.New(rand.NewSource(78))
@@ -166,43 +167,24 @@ func TestWireNegotiationMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr := startServer(t, "m", model)
 
 	cases := []struct {
 		name      string
-		wire      WireConfig
-		forceGob  bool
+		narrow    bool
 		wantProto string
 		// bitExact demands logits identical to the local forward; narrowed
 		// activations only promise float32-level agreement.
 		bitExact bool
 	}{
-		{name: "binary-default", wire: WireConfig{}, wantProto: "binary-v1", bitExact: true},
-		{name: "binary-narrowed", wire: WireConfig{NarrowActivations: true}, wantProto: "binary-v1+f32"},
-		{name: "version-mismatch-falls-back-to-gob", wire: WireConfig{Version: 9}, wantProto: "gob", bitExact: true},
-		{name: "explicit-gob", wire: WireConfig{Mode: WireGob}, wantProto: "gob", bitExact: true},
-		{name: "legacy-server-downgrade", wire: WireConfig{}, forceGob: true, wantProto: "gob", bitExact: true},
+		{name: "binary-default", wantProto: "binary-v1", bitExact: true},
+		{name: "binary-narrowed", narrow: true, wantProto: "binary-v1+f32"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := NewServer()
-			srv.ForceGob = tc.forceGob
-			if err := srv.Register("m", model); err != nil {
-				t.Fatal(err)
-			}
-			lis, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			done := make(chan error, 1)
-			go func() { done <- srv.Serve(lis) }()
-			defer func() {
-				_ = srv.Close()
-				<-done
-			}()
-
 			opts := fastOpts()
-			opts.Wire = tc.wire
-			client, err := DialResilient(lis.Addr().String(), opts)
+			opts.NarrowActivations = tc.narrow
+			client, err := DialResilient(addr, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,16 +209,7 @@ func TestWireNegotiationMatrix(t *testing.T) {
 				t.Fatalf("negotiated %q, want %q", got, tc.wantProto)
 			}
 			stats := client.Stats()
-			if tc.forceGob {
-				// The downgrade costs exactly one wasted dial: binary hello,
-				// gob answer, sticky fallback, redial.
-				if stats.Redials != 2 {
-					t.Fatalf("legacy downgrade took %d dials, want 2", stats.Redials)
-				}
-				if stats.Retries != 1 {
-					t.Fatalf("legacy downgrade took %d retries, want 1", stats.Retries)
-				}
-			} else if stats.Redials != 1 {
+			if stats.Redials != 1 {
 				t.Fatalf("negotiation over %s redialed %d times, want 1", tc.name, stats.Redials)
 			}
 			if stats.Offloads != 3 {
@@ -244,64 +217,77 @@ func TestWireNegotiationMatrix(t *testing.T) {
 			}
 		})
 	}
-}
 
-// TestWirePlainClientModes runs the plain (non-redialing) Client through
-// the handshake: binary by default against a modern server, explicit gob
-// against a legacy one.
-func TestWirePlainClientModes(t *testing.T) {
-	model := testNet(t, 79)
-	rng := rand.New(rand.NewSource(80))
-	x := tensor.Randn(rng, 1, 3, 12, 12)
-	act, err := model.ForwardRange(x, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("binary-default", func(t *testing.T) {
-		addr := startServer(t, "m", model)
-		client, err := Dial(addr)
+	// A raw hello proposing version 9: the server answers accepted = 0,
+	// hangs up, and keeps serving everyone else.
+	t.Run("version-9-declined", func(t *testing.T) {
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		if err := raw.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		bc := newBinCodec(raw, 0, nil, nil, clientWireNames)
+		if err := bc.writeHello(9, 0); err != nil {
+			t.Fatal(err)
+		}
+		var ack frame
+		if err := bc.readFrame(&ack); err != nil {
+			t.Fatalf("hello ack: %v", err)
+		}
+		if ack.ftype != frameHelloAck || len(ack.payload) != 1 || ack.payload[0] != 0 {
+			t.Fatalf("ack = type %d payload %v, want a hello ack accepting 0", ack.ftype, ack.payload)
+		}
+		if _, err := raw.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Fatalf("read after decline = %v, want EOF", err)
+		}
+		client, err := dialTest(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer client.Close()
-		client.Timeout = 2 * time.Second
-		if _, err := client.Offload("m", 0, act); err != nil {
-			t.Fatal(err)
-		}
-		if got := client.WireProtocol(); got != "binary-v1" {
-			t.Fatalf("negotiated %q, want binary-v1", got)
+		if _, err := client.Offload("m", 2, act); err != nil {
+			t.Fatalf("server stopped serving after a declined hello: %v", err)
 		}
 	})
 
-	t.Run("explicit-gob-vs-legacy-server", func(t *testing.T) {
-		srv := NewServer()
-		srv.ForceGob = true
-		if err := srv.Register("m", model); err != nil {
-			t.Fatal(err)
-		}
+	// The client side of a decline: a peer that answers accepted = 0 fails
+	// the negotiation, which the client treats as a transport failure.
+	t.Run("client-rejects-decline", func(t *testing.T) {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		done := make(chan error, 1)
-		go func() { done <- srv.Serve(lis) }()
-		defer func() {
-			_ = srv.Close()
-			<-done
+		defer lis.Close()
+		go func() {
+			for {
+				conn, err := lis.Accept()
+				if err != nil {
+					return
+				}
+				bc := newBinCodec(conn, 0, nil, nil, serverWireNames)
+				var hello frame
+				if bc.readFrame(&hello) == nil {
+					_ = bc.writeHelloAck(0, 0)
+				}
+				_ = conn.Close()
+			}
 		}()
-		client, err := Dial(lis.Addr().String())
+		opts := fastOpts()
+		opts.MaxAttempts = 2
+		client, err := DialResilient(lis.Addr().String(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer client.Close()
-		client.Timeout = 2 * time.Second
-		client.Wire = WireConfig{Mode: WireGob}
-		if _, err := client.Offload("m", 0, act); err != nil {
-			t.Fatal(err)
+		_, err = client.Offload("m", 2, act)
+		if !errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "negotiate") {
+			t.Fatalf("err = %v, want ErrUnavailable after failed negotiations", err)
 		}
-		if got := client.WireProtocol(); got != "gob" {
-			t.Fatalf("negotiated %q, want gob", got)
+		if st := client.Stats(); st.Redials != 2 || st.Offloads != 0 {
+			t.Fatalf("stats = %+v, want 2 redials and no offload", st)
 		}
 	})
 }
@@ -313,7 +299,7 @@ func TestWireNarrowedAccuracy(t *testing.T) {
 	model := testNet(t, 81)
 	addr := startServer(t, "m", model)
 	opts := fastOpts()
-	opts.Wire = WireConfig{NarrowActivations: true}
+	opts.NarrowActivations = true
 	client, err := DialResilient(addr, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -20,6 +20,14 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
+echo "== gob off the live path (in internal/serving only benchwire.go may import encoding/gob)"
+gob_importers=$(grep -l '"encoding/gob"' internal/serving/*.go | grep -v -e '_test\.go$' -e '^internal/serving/benchwire\.go$' || true)
+if [ -n "$gob_importers" ]; then
+    echo "encoding/gob imported outside benchwire.go:" >&2
+    echo "$gob_importers" >&2
+    exit 1
+fi
+
 echo "== perfbench module (vet + test: the benchmark must keep building against the API it drives)"
 (cd perfbench && GOPROXY=off GOFLAGS=-mod=mod go vet ./... && GOPROXY=off GOFLAGS=-mod=mod go test ./...)
 
