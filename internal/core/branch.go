@@ -142,6 +142,9 @@ func OptimalBranch(p *Problem, bandwidthMbps float64, cfg BranchConfig) (*Branch
 		cand, err := p.ComposeBranch(cut, actions)
 		if err != nil {
 			// Structurally infeasible sample: skip, count the episode.
+			// Commit ends it without an update, dropping what the
+			// strategy kept from its samples.
+			strat.Commit()
 			res.History = append(res.History, bestSoFar(res))
 			continue
 		}

@@ -26,7 +26,9 @@ type Decision struct {
 // the chooser, so the same search loops (Alg. 1 and Alg. 3) can run under the
 // RL controllers, random search, or ε-greedy search (the Fig. 7 comparison).
 type Strategy interface {
-	// SelectPartition returns an action in [0, len(seq)] honouring mask.
+	// SelectPartition returns an action in [0, len(seq)+1] honouring mask:
+	// a cut after layer t < len(seq), len(seq) for no partition, or
+	// len(seq)+1 to offload before the first layer.
 	SelectPartition(site string, seq [][]float64, mask []bool) (int, error)
 	// SelectCompression returns one technique index per timestep honouring
 	// masks.
@@ -116,9 +118,12 @@ func (s *RLStrategy) Observe(decisions []Decision, reward float64) error {
 	return nil
 }
 
-// Commit implements Strategy.
+// Commit implements Strategy. It also drops the encoder passes the
+// controllers kept from this episode's samples, so they never outlive it.
 func (s *RLStrategy) Commit() {
 	if !s.dirty {
+		s.Partition.Forget()
+		s.Compression.Forget()
 		return
 	}
 	s.Partition.Step()

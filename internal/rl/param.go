@@ -122,10 +122,14 @@ func Softmax(logits []float64) []float64 {
 
 // SampleCategorical draws an index from the categorical distribution defined
 // by logits. Masked-out entries (mask[i] == false) are excluded; if every
-// entry is masked it returns an error. A nil mask allows everything.
+// entry is masked it returns an error. A nil mask allows everything; any
+// other mask must have one entry per logit.
 func SampleCategorical(logits []float64, mask []bool, rng *rand.Rand) (int, error) {
 	if len(logits) == 0 {
 		return 0, fmt.Errorf("rl: empty logits")
+	}
+	if err := checkMask(mask, len(logits)); err != nil {
+		return 0, err
 	}
 	masked := make([]float64, len(logits))
 	any := false
@@ -172,7 +176,8 @@ func Argmax(logits []float64, mask []bool) int {
 }
 
 // PolicyGradLogits returns d(-log π(a))·adv / dlogits = (softmax − onehot_a)·adv,
-// respecting the mask used at sample time.
+// respecting the mask used at sample time. mask must be nil or have one
+// entry per logit; the policies' Accumulate checks that before calling it.
 func PolicyGradLogits(logits []float64, mask []bool, action int, advantage float64) []float64 {
 	masked := make([]float64, len(logits))
 	for i, v := range logits {

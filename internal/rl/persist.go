@@ -50,8 +50,10 @@ func (p *PartitionPolicy) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON restores weights into an already-constructed controller with
-// matching dimensions (build it with NewPartitionPolicy first).
+// matching dimensions (build it with NewPartitionPolicy first). It forgets
+// the encoder passes kept by Sample.
 func (p *PartitionPolicy) UnmarshalJSON(data []byte) error {
+	p.Forget()
 	var st policyState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("rl: decode partition policy: %w", err)
@@ -155,8 +157,9 @@ func LoadCheckpoint(path string, p *PartitionPolicy, c *CompressionPolicy) error
 }
 
 // UnmarshalJSON restores weights into an already-constructed controller with
-// matching dimensions.
+// matching dimensions. It forgets the encoder passes kept by SampleAll.
 func (c *CompressionPolicy) UnmarshalJSON(data []byte) error {
+	c.Forget()
 	var st policyState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("rl: decode compression policy: %w", err)

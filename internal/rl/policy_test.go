@@ -254,3 +254,58 @@ func TestSampleMaskProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A mask must have one entry per action: short masks used to panic with an
+// index out of range and long ones were silently accepted.
+func TestMaskLengthChecked(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	pp, err := NewPartitionPolicy(2, 3, 0.01, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, err := NewCompressionPolicy(2, 3, 3, 0.01, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := [][]float64{{1, 0}, {0, 1}} // L = 2: 4 partition actions
+	allow := func(n int) []bool {
+		m := make([]bool, n)
+		for i := range m {
+			m[i] = true
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name string
+		call func() error
+		ok   bool
+	}{
+		{"categorical short", func() error { _, err := SampleCategorical([]float64{1, 2, 3}, allow(2), rng); return err }, false},
+		{"categorical long", func() error { _, err := SampleCategorical([]float64{1, 2, 3}, allow(4), rng); return err }, false},
+		{"categorical exact", func() error { _, err := SampleCategorical([]float64{1, 2, 3}, allow(3), rng); return err }, true},
+		{"partition sample nil", func() error { _, err := pp.Sample(seq, nil, rng); return err }, true},
+		{"partition sample exact", func() error { _, err := pp.Sample(seq, allow(4), rng); return err }, true},
+		{"partition sample short", func() error { _, err := pp.Sample(seq, allow(3), rng); return err }, false},
+		{"partition sample long", func() error { _, err := pp.Sample(seq, allow(5), rng); return err }, false},
+		{"partition accumulate exact", func() error { return pp.Accumulate(seq, allow(4), 3, 1) }, true},
+		{"partition accumulate short", func() error { return pp.Accumulate(seq, allow(3), 0, 1) }, false},
+		{"partition accumulate long", func() error { return pp.Accumulate(seq, allow(5), 0, 1) }, false},
+		{"compression sample nil", func() error { _, err := cp.SampleAll(seq, nil, rng); return err }, true},
+		{"compression sample nil entry", func() error { _, err := cp.SampleAll(seq, [][]bool{nil, allow(3)}, rng); return err }, true},
+		{"compression sample short", func() error { _, err := cp.SampleAll(seq, [][]bool{allow(3), allow(2)}, rng); return err }, false},
+		{"compression sample long", func() error { _, err := cp.SampleAll(seq, [][]bool{allow(4), allow(3)}, rng); return err }, false},
+		{"compression sample too few masks", func() error { _, err := cp.SampleAll(seq, [][]bool{allow(3)}, rng); return err }, false},
+		{"compression accumulate exact", func() error { return cp.Accumulate(seq, [][]bool{allow(3), allow(3)}, []int{0, 2}, 1) }, true},
+		{"compression accumulate short", func() error { return cp.Accumulate(seq, [][]bool{allow(2), allow(3)}, []int{0, 0}, 1) }, false},
+		{"compression accumulate long", func() error { return cp.Accumulate(seq, [][]bool{allow(3), allow(4)}, []int{0, 0}, 1) }, false},
+		{"compression accumulate action range", func() error { return cp.Accumulate(seq, nil, []int{0, 3}, 1) }, false},
+	} {
+		err := tc.call()
+		if tc.ok && err != nil {
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: expected an error", tc.name)
+		}
+	}
+}

@@ -62,9 +62,10 @@ go test -race -count=2 -run 'Integrity|Quarantine|Corrupt|Supervisor|Manifest' \
 echo "== fuzz smoke (5s: serving frame decoder must shrug off hostile bytes)"
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/serving
 
-echo "== determinism suite (-count=2: parallel kernels must be bit-exact at any GOMAXPROCS)"
+echo "== determinism suite (-count=2: parallel kernels and the RL controllers must be bit-exact)"
 go test -race -count=2 -run 'Determinism' \
     ./internal/parallel ./internal/tensor ./internal/nn ./internal/report
+go test -count=2 -run 'BitExact|Pinned' ./internal/rl ./internal/core
 
 echo "== telemetry determinism (-count=2: snapshots and traced replays must be bit-identical)"
 go test -race -count=2 -run 'Determinism|Snapshot|Trace|Registry' ./internal/telemetry
@@ -72,7 +73,7 @@ go test -race -count=2 -run 'TestRunTraceBitIdenticalReplay' ./internal/emulator
 
 echo "== bench smoke (every benchmark must still run)"
 go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./internal/report \
-    ./internal/surgery ./internal/latency
+    ./internal/surgery ./internal/latency ./internal/rl
 
 echo "== wire determinism (bit-exact mode must replay identically at any GOMAXPROCS)"
 for procs in 1 4 8; do
