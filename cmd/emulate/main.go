@@ -114,7 +114,7 @@ func runTrace(seed int64, outPath string) (err error) {
 		}()
 	}
 	fmt.Fprintf(w, "traced replay: seed %d, %d requests over %d phases at %v Mbps, clock step %v\n",
-		seed, len(res.Traces), len(res.Options.PhaseMbps), res.Options.PhaseMbps, res.Options.Step)
+		seed, len(res.Traces), len(res.PhaseMbps), res.PhaseMbps, res.Step)
 	fmt.Fprintf(w, "accounting: %d admitted = %d completed + %d shed, %d hot-swaps\n\n",
 		res.Report.Admitted, res.Report.Completed, res.Report.Shed, res.Report.Swaps)
 	if _, err := w.WriteString(res.Waterfalls); err != nil {
@@ -210,17 +210,13 @@ func runGateway(seed int64, sessions int) error {
 	if sessions <= 0 {
 		return fmt.Errorf("gateway mode needs a positive session count")
 	}
-	res, err := emulator.RunGateway(emulator.GatewayOptions{
-		Sessions:      sessions,
-		Seed:          seed,
-		StraddleSwaps: true,
-	})
+	res, err := emulator.RunGateway(emulator.GatewayOptions{Sessions: sessions, Seed: seed})
 	if err != nil {
 		return err
 	}
 	rep := res.Report
 	fmt.Printf("gateway replay: %d sessions, %d phases at %v Mbps, %d hot-swaps\n",
-		res.Options.Sessions, len(res.Options.PhaseMbps), res.Options.PhaseMbps, res.Swaps)
+		res.Options.Sessions, len(res.PhaseMbps), res.PhaseMbps, res.Swaps)
 	fmt.Printf("accounting: %d admitted = %d completed + %d shed (%d errored)\n",
 		rep.Admitted, rep.Completed, rep.Shed, rep.Errored)
 	fmt.Printf("batching: %d batches, mean size %.2f\n", rep.Batches, rep.MeanBatch)
@@ -246,16 +242,13 @@ func runIntegrity(seed int64, sessions int) error {
 	if sessions <= 0 {
 		return fmt.Errorf("integrity mode needs a positive session count")
 	}
-	res, err := emulator.RunIntegrity(emulator.IntegrityOptions{
-		Sessions: sessions,
-		Seed:     seed,
-	})
+	res, err := emulator.RunIntegrity(emulator.IntegrityOptions{Sessions: sessions, Seed: seed})
 	if err != nil {
 		return err
 	}
 	rep := res.Report
 	fmt.Printf("integrity replay: %d sessions, %d requests, stall timeout %v\n",
-		res.Options.Sessions, len(res.Records), res.Options.StallTimeout)
+		res.Options.Sessions, len(res.Records), res.StallTimeout)
 	fmt.Printf("injected fault: %s\n", res.Corruption)
 	fmt.Printf("quarantined: %v (desired class %d, serving class %d)\n",
 		res.Quarantined, res.DesiredClass, res.ServedClass)

@@ -24,11 +24,11 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"sort"
 	"time"
 
+	"cadmc/internal/emulator"
 	"cadmc/internal/faultnet"
 	"cadmc/internal/gateway"
 	"cadmc/internal/parallel"
@@ -114,44 +114,30 @@ type benchReport struct {
 }
 
 // bench is the shared test rig: an in-process cloud server plus the demo
-// tree's partitioned variant, so both phases offload through the same
+// tree's partitioned variant, so every phase offloads through the same
 // latency-injected loopback channel.
 type bench struct {
-	addr     string
-	srv      *serving.Server
-	variant  *gateway.Variant
-	spec     faultnet.Spec
-	seed     int64
-	inputs   []*tensor.Tensor
-	shutdown func()
+	stack   *emulator.Stack
+	variant *gateway.Variant
+	spec    faultnet.Spec
+	inputs  []*tensor.Tensor
 }
 
 func newBench(requests int, latencyMS float64, seed int64) (*bench, error) {
-	tree, err := gateway.DemoTree([]float64{2, 8})
+	st, err := emulator.NewStack()
 	if err != nil {
 		return nil, err
 	}
-	srv := serving.NewServer()
-	srv.IdleTimeout = 30 * time.Second
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	provider, err := st.Provider(seed)
 	if err != nil {
-		return nil, err
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(lis) }()
-
-	provider, err := gateway.NewVariantProvider(tree, seed, srv.Register)
-	if err != nil {
-		_ = srv.Close()
-		<-done
+		_ = st.Close()
 		return nil, err
 	}
 	// Class 1 partitions after the first block: every request exercises the
 	// offload channel, which is where the latency being overlapped lives.
 	v, err := provider.ForClass(1)
 	if err != nil {
-		_ = srv.Close()
-		<-done
+		_ = st.Close()
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
@@ -160,36 +146,17 @@ func newBench(requests int, latencyMS float64, seed int64) (*bench, error) {
 		inputs[i] = tensor.Randn(rng, 1, 3, 16, 16)
 	}
 	return &bench{
-		addr:    lis.Addr().String(),
-		srv:     srv,
+		stack:   st,
 		variant: v,
-		spec:    faultnet.Spec{LatencyMS: latencyMS},
-		seed:    seed,
+		spec:    faultnet.Spec{Seed: seed, LatencyMS: latencyMS},
 		inputs:  inputs,
-		shutdown: func() {
-			_ = srv.Close()
-			<-done
-		},
 	}, nil
-}
-
-// dial opens one latency-injected connection to the cloud server.
-func (b *bench) dial(streamSeed int64) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		conn, err := net.Dial("tcp", b.addr)
-		if err != nil {
-			return nil, err
-		}
-		s := b.spec
-		s.Seed = streamSeed
-		return faultnet.Wrap(conn, s, nil), nil
-	}
 }
 
 // runBaseline pushes every request through one executor on one connection,
 // strictly sequentially.
 func (b *bench) runBaseline() (phaseStats, error) {
-	client, err := serving.NewResilientClient(b.dial(b.seed), serving.ResilientOptions{})
+	client, err := serving.NewResilientClient(b.stack.Dial(b.spec, nil), serving.ResilientOptions{})
 	if err != nil {
 		return phaseStats{}, err
 	}
@@ -227,23 +194,14 @@ func (b *bench) runBaseline() (phaseStats, error) {
 // registry meters the whole phase: gateway counters, offload channels and
 // latency histograms all land in it.
 func (b *bench) runGateway(workers, maxBatch int, registry *telemetry.Registry) (phaseStats, *gateway.Report, error) {
-	gw, err := gateway.New(gateway.Config{
+	gw, err := b.stack.Gateway(gateway.Config{
 		Workers:         workers,
 		QueueCapacity:   len(b.inputs),
 		PerSessionLimit: -1,
 		MaxBatch:        maxBatch,
 		MaxWait:         time.Millisecond,
 		Metrics:         registry,
-		NewOffloader: func(workerID int) (serving.Offloader, error) {
-			return serving.NewResilientClient(b.dial(b.seed+int64(workerID)*7919), serving.ResilientOptions{})
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			if c, ok := o.(*serving.ResilientClient); ok {
-				return c.Close()
-			}
-			return nil
-		},
-	})
+	}, b.spec, serving.ResilientOptions{})
 	if err != nil {
 		return phaseStats{}, nil, err
 	}
@@ -282,21 +240,12 @@ func (b *bench) runGateway(workers, maxBatch int, registry *telemetry.Registry) 
 
 // runOverload floods a deliberately small gateway to measure shedding.
 func (b *bench) runOverload() (overloadStats, error) {
-	gw, err := gateway.New(gateway.Config{
+	gw, err := b.stack.Gateway(gateway.Config{
 		Workers:         2,
 		QueueCapacity:   16,
 		PerSessionLimit: 4,
 		MaxBatch:        4,
-		NewOffloader: func(workerID int) (serving.Offloader, error) {
-			return serving.NewResilientClient(b.dial(b.seed+1000+int64(workerID)), serving.ResilientOptions{})
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			if c, ok := o.(*serving.ResilientClient); ok {
-				return c.Close()
-			}
-			return nil
-		},
-	})
+	}, b.spec, serving.ResilientOptions{})
 	if err != nil {
 		return overloadStats{}, err
 	}
@@ -346,7 +295,11 @@ func run(requests, workers, maxBatch int, latencyMS float64, seed int64, out str
 	if err != nil {
 		return err
 	}
-	defer b.shutdown()
+	defer func() {
+		if closeErr := b.stack.Close(); closeErr != nil && err == nil {
+			err = closeErr
+		}
+	}()
 
 	var registry *telemetry.Registry
 	if metrics {

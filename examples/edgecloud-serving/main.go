@@ -23,11 +23,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"os"
 	"time"
 
 	"cadmc/internal/dataset"
+	"cadmc/internal/emulator"
 	"cadmc/internal/faultnet"
 	"cadmc/internal/latency"
 	"cadmc/internal/network"
@@ -79,17 +79,15 @@ func run() error {
 	fmt.Printf("local test accuracy: %.1f%%\n\n", 100*acc)
 
 	// 2. Serve the model on loopback.
-	srv := serving.NewServer()
-	if err := srv.Register("edgecnn", net1); err != nil {
-		return err
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	stack, err := emulator.NewStack()
 	if err != nil {
 		return err
 	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(lis) }()
-	fmt.Printf("cloud server listening on %s\n", lis.Addr())
+	defer func() { _ = stack.Close() }()
+	if err := stack.Server.Register("edgecnn", net1); err != nil {
+		return err
+	}
+	fmt.Printf("cloud server listening on %s\n", stack.Addr())
 
 	// The edge side dials through a chaos wrapper: a scheduled outage window
 	// takes the link down across frames 9 and 10 of the stream below — frames
@@ -101,23 +99,12 @@ func run() error {
 		Seed:    1,
 		Outages: []faultnet.Window{{StartMS: 8_000, EndMS: 9_500}},
 	}
-	addr := lis.Addr().String()
-	dialSeq := int64(0)
 	// The breaker cooldown and backoff run on the same virtual clock as the
 	// outage schedule, so the recovery point is deterministic.
 	res := serving.DefaultResilientOptions()
 	res.Now = clock.Now
 	res.Sleep = func(time.Duration) {}
-	client, err := serving.NewResilientClient(func() (net.Conn, error) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		s := spec
-		s.Seed += dialSeq * 7919
-		dialSeq++
-		return faultnet.Wrap(conn, s, clock), nil
-	}, res)
+	client, err := serving.NewResilientClient(stack.Dial(spec, clock), res)
 	if err != nil {
 		return err
 	}
@@ -217,10 +204,7 @@ func run() error {
 	if err := client.Close(); err != nil {
 		return err
 	}
-	if err := srv.Close(); err != nil {
-		return err
-	}
-	return <-serveDone
+	return stack.Close()
 }
 
 // argmax returns the index of the largest logit.

@@ -3,7 +3,7 @@ package emulator
 import (
 	"fmt"
 	"math/rand"
-	"net"
+	"slices"
 	"time"
 
 	"cadmc/internal/faultnet"
@@ -17,53 +17,21 @@ import (
 // submit concurrently through the gateway while the bandwidth schedule
 // drives hot-swaps between composed model-tree variants.
 type GatewayOptions struct {
-	// Sessions is the number of concurrent user sessions (default 64).
+	// Sessions is the number of concurrent user sessions (default 64); each
+	// phase submits 2·Sessions requests round-robin over them.
 	Sessions int
-	// RequestsPerPhase is how many requests each phase submits, spread
-	// round-robin over the sessions (default 2·Sessions).
-	RequestsPerPhase int
-	// PhaseMbps is the piecewise-constant bandwidth schedule, one level per
-	// phase (default {low, high, low} of ClassMbps). Each class change
-	// triggers exactly one hot-swap.
-	PhaseMbps []float64
-	// ClassMbps are the demo tree's bandwidth-class levels (default {2, 8}).
-	ClassMbps []float64
 	// Seed drives the variant weights and the request inputs.
 	Seed int64
-	// Workers, MaxBatch and MaxWait tune the gateway (defaults 8, 8, 1ms).
-	Workers  int
-	MaxBatch int
-	MaxWait  time.Duration
-	// OffloadLatencyMS injects one-way latency on every offload write via
-	// faultnet — the knob cmd/loadgen turns to make overlap measurable.
-	OffloadLatencyMS float64
-	// StraddleSwaps, when true, performs each swap while the first half of
-	// the phase's requests is still in flight, proving the drain guarantee;
-	// when false each phase drains before the next poll.
-	StraddleSwaps bool
 }
+
+// gatewayPhaseMbps is the gateway replay's bandwidth schedule, one level per
+// phase: low, high, low of classMbps, so each class change triggers exactly
+// one hot-swap.
+var gatewayPhaseMbps = []float64{2, 8, 2}
 
 func (o GatewayOptions) withDefaults() GatewayOptions {
 	if o.Sessions <= 0 {
 		o.Sessions = 64
-	}
-	if o.RequestsPerPhase <= 0 {
-		o.RequestsPerPhase = 2 * o.Sessions
-	}
-	if len(o.ClassMbps) == 0 {
-		o.ClassMbps = []float64{2, 8}
-	}
-	if len(o.PhaseMbps) == 0 {
-		o.PhaseMbps = []float64{o.ClassMbps[0], o.ClassMbps[len(o.ClassMbps)-1], o.ClassMbps[0]}
-	}
-	if o.Workers <= 0 {
-		o.Workers = 8
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 8
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = time.Millisecond
 	}
 	return o
 }
@@ -75,8 +43,8 @@ type GatewayRecord struct {
 	Phase   int
 	Input   *tensor.Tensor
 	Result  gateway.Result
-	// SecondHalf marks requests submitted after the phase's swap poll; in
-	// straddle mode their serving variant is deterministic.
+	// SecondHalf marks requests submitted after the phase's swap poll; their
+	// serving variant is deterministic.
 	SecondHalf bool
 }
 
@@ -88,11 +56,12 @@ type GatewayRunResult struct {
 	Swaps int64
 	// SigCounts counts completions per serving variant signature.
 	SigCounts map[string]int64
-	// WallMS is the replay's real duration, for throughput computation.
-	WallMS float64
 	// Metrics is the gateway registry's final snapshot: every gateway.* and
 	// serving.* instrument the replay touched.
 	Metrics telemetry.Snapshot
+	// PhaseMbps is the bandwidth schedule the replay ran, one level per
+	// phase.
+	PhaseMbps []float64
 	// Options echoes the fully defaulted options the replay ran under.
 	Options GatewayOptions
 }
@@ -121,68 +90,38 @@ func phaseTime(i int) float64 { return float64(i)*1000 + 500 }
 // RunGateway replays a multi-session workload through the gateway over a
 // real loopback offload channel: the demo model tree supplies the variants,
 // a scripted bandwidth schedule drives the swap manager, and every phase's
-// requests flow through admission, micro-batching and the worker pool. The
-// replay is lossless by contract — every submitted request completes — and
-// the result carries enough to verify bit-exactness out-of-band.
+// requests flow through admission, micro-batching and the worker pool. Each
+// swap is performed while the first half of its phase's requests is still
+// in flight, proving the drain guarantee. The replay is lossless by
+// contract — every submitted request completes — and the result carries
+// enough to verify bit-exactness out-of-band.
 func RunGateway(opts GatewayOptions) (*GatewayRunResult, error) {
 	opts = opts.withDefaults()
-	tree, err := gateway.DemoTree(opts.ClassMbps)
+	st, err := NewStack()
 	if err != nil {
 		return nil, err
 	}
-
-	srv := serving.NewServer()
-	srv.IdleTimeout = 10 * time.Second
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("emulator: gateway listen: %w", err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(lis) }()
-	defer func() {
-		_ = srv.Close()
-		<-serveDone
-	}()
-	addr := lis.Addr().String()
-
-	provider, err := gateway.NewVariantProvider(tree, opts.Seed, srv.Register)
+	defer func() { _ = st.Close() }()
+	provider, err := st.Provider(opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	spec := faultnet.Spec{LatencyMS: opts.OffloadLatencyMS}
+	perPhase := 2 * opts.Sessions
 	registry := telemetry.NewRegistry()
-	gw, err := gateway.New(gateway.Config{
-		Workers: opts.Workers,
+	gw, err := st.Gateway(gateway.Config{
+		Workers: 8,
 		Metrics: registry,
 		// The queue never sheds in a replay: capacity covers the maximum
 		// possible backlog so the accounting assertion is exact.
-		QueueCapacity:   opts.RequestsPerPhase * len(opts.PhaseMbps),
+		QueueCapacity:   perPhase * len(gatewayPhaseMbps),
 		PerSessionLimit: -1,
-		MaxBatch:        opts.MaxBatch,
-		MaxWait:         opts.MaxWait,
-		NewOffloader: func(workerID int) (serving.Offloader, error) {
-			return serving.NewResilientClient(func() (net.Conn, error) {
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					return nil, err
-				}
-				s := spec
-				s.Seed = opts.Seed + int64(workerID)*7919
-				return faultnet.Wrap(conn, s, nil), nil
-			}, serving.ResilientOptions{})
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			if c, ok := o.(*serving.ResilientClient); ok {
-				return c.Close()
-			}
-			return nil
-		},
-	})
+		MaxBatch:        8,
+		MaxWait:         time.Millisecond,
+	}, faultnet.Spec{}, serving.ResilientOptions{})
 	if err != nil {
 		return nil, err
 	}
-	mon := &scheduleMonitor{phaseMbps: opts.PhaseMbps}
-	mgr, err := gateway.NewSwapManager(gw, provider, mon, phaseTime(0))
+	mgr, err := gateway.NewSwapManager(gw, provider, &scheduleMonitor{phaseMbps: gatewayPhaseMbps}, phaseTime(0))
 	if err != nil {
 		return nil, err
 	}
@@ -190,76 +129,89 @@ func RunGateway(opts GatewayOptions) (*GatewayRunResult, error) {
 		return nil, err
 	}
 
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-	records := make([]GatewayRecord, 0, opts.RequestsPerPhase*len(opts.PhaseMbps))
-	chans := make([]<-chan gateway.Result, 0, cap(records))
-	clk := faultnet.NewClock()
-
-	submit := func(phase, n int, secondHalf bool) error {
-		for i := 0; i < n; i++ {
-			session := fmt.Sprintf("session-%03d", len(records)%opts.Sessions)
-			x := tensor.Randn(rng, 1, 3, 16, 16)
-			ch, err := gw.Submit(session, x)
-			if err != nil {
-				return fmt.Errorf("emulator: gateway submit (phase %d): %w", phase, err)
-			}
-			records = append(records, GatewayRecord{Session: session, Phase: phase, Input: x, SecondHalf: secondHalf})
-			chans = append(chans, ch)
-		}
-		return nil
-	}
-	drainFrom := func(lo int) {
-		for i := lo; i < len(chans); i++ {
-			records[i].Result = <-chans[i]
-		}
-	}
-
-	drained := 0
-	for phase := range opts.PhaseMbps {
-		half := opts.RequestsPerPhase / 2
-		if opts.StraddleSwaps {
-			// First half is in flight while the swap poll runs: the drain
-			// guarantee is exercised on every class change.
-			if err := submit(phase, half, false); err != nil {
-				return nil, err
-			}
-			if _, err := mgr.Poll(phaseTime(phase)); err != nil {
-				return nil, err
-			}
-			if err := submit(phase, opts.RequestsPerPhase-half, true); err != nil {
-				return nil, err
-			}
-			drainFrom(drained)
-			drained = len(chans)
-			continue
+	rec := newRecorder(gw, opts.Sessions, opts.Seed)
+	for phase := range gatewayPhaseMbps {
+		// First half is in flight while the swap poll runs: the drain
+		// guarantee is exercised on every class change.
+		if err := rec.submit(phase, perPhase/2, false); err != nil {
+			return nil, err
 		}
 		if _, err := mgr.Poll(phaseTime(phase)); err != nil {
 			return nil, err
 		}
-		if err := submit(phase, opts.RequestsPerPhase, true); err != nil {
+		if err := rec.submit(phase, perPhase-perPhase/2, true); err != nil {
 			return nil, err
 		}
-		drainFrom(drained)
-		drained = len(chans)
+		rec.drain()
 	}
-	wallMS := float64(clk.Now()) / float64(time.Millisecond)
 	rep := gw.Stop()
-
-	out := &GatewayRunResult{
+	if err := rec.err(); err != nil {
+		return nil, err
+	}
+	return &GatewayRunResult{
 		Report:    rep,
-		Records:   records,
+		Records:   rec.records,
 		Swaps:     mgr.Swaps(),
-		SigCounts: make(map[string]int64),
-		WallMS:    wallMS,
+		SigCounts: rec.sigCounts(),
 		Metrics:   registry.Snapshot(),
+		PhaseMbps: slices.Clone(gatewayPhaseMbps),
 		Options:   opts,
-	}
-	for i := range records {
-		if records[i].Result.Err != nil {
-			return nil, fmt.Errorf("emulator: gateway request %d (phase %d): %w",
-				i, records[i].Phase, records[i].Result.Err)
+	}, nil
+}
+
+// recorder submits seeded requests through a gateway, round-robin over the
+// session names, and keeps every request with its result in submission
+// order.
+type recorder struct {
+	gw       *gateway.Gateway
+	sessions int
+	rng      *rand.Rand
+	records  []GatewayRecord
+	chans    []<-chan gateway.Result
+	drained  int
+}
+
+func newRecorder(gw *gateway.Gateway, sessions int, seed int64) *recorder {
+	return &recorder{gw: gw, sessions: sessions, rng: rand.New(rand.NewSource(seed + 1))}
+}
+
+// submit offers n requests for phase without waiting for them.
+func (r *recorder) submit(phase, n int, secondHalf bool) error {
+	for i := 0; i < n; i++ {
+		session := fmt.Sprintf("session-%03d", len(r.records)%r.sessions)
+		x := tensor.Randn(r.rng, 1, 3, 16, 16)
+		ch, err := r.gw.Submit(session, x)
+		if err != nil {
+			return fmt.Errorf("emulator: submit (phase %d): %w", phase, err)
 		}
-		out.SigCounts[records[i].Result.VariantSig]++
+		r.records = append(r.records, GatewayRecord{Session: session, Phase: phase, Input: x, SecondHalf: secondHalf})
+		r.chans = append(r.chans, ch)
 	}
-	return out, nil
+	return nil
+}
+
+// drain waits for every request submitted since the previous drain.
+func (r *recorder) drain() {
+	for ; r.drained < len(r.chans); r.drained++ {
+		r.records[r.drained].Result = <-r.chans[r.drained]
+	}
+}
+
+// err reports the first request that completed with an error.
+func (r *recorder) err() error {
+	for i, rec := range r.records {
+		if rec.Result.Err != nil {
+			return fmt.Errorf("emulator: request %d (phase %d): %w", i, rec.Phase, rec.Result.Err)
+		}
+	}
+	return nil
+}
+
+// sigCounts counts completions per serving variant signature.
+func (r *recorder) sigCounts() map[string]int64 {
+	counts := make(map[string]int64)
+	for _, rec := range r.records {
+		counts[rec.Result.VariantSig]++
+	}
+	return counts
 }

@@ -2,8 +2,6 @@ package emulator
 
 import (
 	"fmt"
-	"math/rand"
-	"net"
 	"time"
 
 	"cadmc/internal/faultnet"
@@ -11,57 +9,25 @@ import (
 	"cadmc/internal/integrity"
 	"cadmc/internal/serving"
 	"cadmc/internal/telemetry"
-	"cadmc/internal/tensor"
 )
 
 // IntegrityOptions sizes one corruption + worker-stall chaos replay.
 type IntegrityOptions struct {
-	// Sessions is the number of concurrent user sessions (default 16).
+	// Sessions is the number of concurrent user sessions (default 16); each
+	// phase submits 2·Sessions requests round-robin over them.
 	Sessions int
-	// RequestsPerPhase is how many requests each phase submits (default
-	// 2·Sessions).
-	RequestsPerPhase int
-	// ClassMbps are the demo tree's bandwidth-class levels (default {2, 8}).
-	ClassMbps []float64
 	// Seed drives variant weights, request inputs and the corruption
 	// injector; equal seeds replay the whole scenario bit-identically.
 	Seed int64
-	// Workers, MaxBatch and MaxWait tune the gateway (defaults 4, 4, 1ms).
-	Workers  int
-	MaxBatch int
-	MaxWait  time.Duration
-	// CorruptMode selects the weight fault injected into the partitioned
-	// variant between phases (default integrity.BitFlip).
-	CorruptMode integrity.Mode
-	// StallTimeout is the supervisor's wedge threshold on the scenario's
-	// manual clock (default 50ms).
-	StallTimeout time.Duration
 }
+
+// integrityStallTimeout is the supervisor's wedge threshold on the
+// integrity replay's manual clock.
+const integrityStallTimeout = 50 * time.Millisecond
 
 func (o IntegrityOptions) withDefaults() IntegrityOptions {
 	if o.Sessions <= 0 {
 		o.Sessions = 16
-	}
-	if o.RequestsPerPhase <= 0 {
-		o.RequestsPerPhase = 2 * o.Sessions
-	}
-	if len(o.ClassMbps) == 0 {
-		o.ClassMbps = []float64{2, 8}
-	}
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 4
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = time.Millisecond
-	}
-	if o.CorruptMode == 0 {
-		o.CorruptMode = integrity.BitFlip
-	}
-	if o.StallTimeout <= 0 {
-		o.StallTimeout = 50 * time.Millisecond
 	}
 	return o
 }
@@ -86,6 +52,8 @@ type IntegrityRunResult struct {
 	// Metrics is the gateway registry's final snapshot, including the
 	// quarantine/rollback/restart counters this scenario exercises.
 	Metrics telemetry.Snapshot
+	// StallTimeout is the supervisor's wedge threshold the replay ran with.
+	StallTimeout time.Duration
 	// Options echoes the fully defaulted options the replay ran under.
 	Options IntegrityOptions
 }
@@ -98,78 +66,46 @@ type IntegrityRunResult struct {
 //     heartbeat on the manual clock, abandons the worker, and a replacement
 //     re-serves its batch — every request completes exactly once.
 //  2. Between phases the partitioned variant's cached weights are corrupted
-//     with the seeded injector while the gateway serves the edge-resident
-//     variant.
+//     with the seeded bit-flip injector while the gateway serves the
+//     edge-resident variant.
 //  3. Phase 2 asks for the high class again; the pre-swap manifest check
 //     catches the corruption, quarantines the signature, and the gateway
 //     keeps serving the last-known-good edge variant — whose logits are
 //     bit-identical to an out-of-band recompute.
 func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
 	opts = opts.withDefaults()
-	tree, err := gateway.DemoTree(opts.ClassMbps)
+	st, err := NewStack()
 	if err != nil {
 		return nil, err
 	}
-
-	srv := serving.NewServer()
-	srv.IdleTimeout = 10 * time.Second
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("emulator: integrity listen: %w", err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(lis) }()
-	defer func() {
-		_ = srv.Close()
-		<-serveDone
-	}()
-	addr := lis.Addr().String()
-
-	provider, err := gateway.NewVariantProvider(tree, opts.Seed, srv.Register)
+	defer func() { _ = st.Close() }()
+	provider, err := st.Provider(opts.Seed)
 	if err != nil {
 		return nil, err
 	}
+	perPhase := 2 * opts.Sessions
 	clk := faultnet.NewManualClock()
 	gate := faultnet.NewGate()
 	// Exactly one offload write across the whole pool wedges once the gate
-	// is armed; Release before Stop so the abandoned worker can be joined.
+	// is armed. Deferred after st.Close, so it runs first: the abandoned
+	// worker is released before the stack stops the gateway and joins it.
 	defer gate.Release()
 	registry := telemetry.NewRegistry()
-	gw, err := gateway.New(gateway.Config{
-		Workers:         opts.Workers,
+	gw, err := st.Gateway(gateway.Config{
+		Workers:         4,
 		Metrics:         registry,
-		QueueCapacity:   3 * opts.RequestsPerPhase,
+		QueueCapacity:   3 * perPhase,
 		PerSessionLimit: -1,
-		MaxBatch:        opts.MaxBatch,
-		MaxWait:         opts.MaxWait,
+		MaxBatch:        4,
+		MaxWait:         time.Millisecond,
 		Clock:           clk,
-		StallTimeout:    opts.StallTimeout,
+		StallTimeout:    integrityStallTimeout,
 		SupervisorPoll:  time.Millisecond,
-		NewOffloader: func(workerID int) (serving.Offloader, error) {
-			return serving.NewResilientClient(func() (net.Conn, error) {
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					return nil, err
-				}
-				spec := faultnet.Spec{
-					Seed:      opts.Seed + int64(workerID)*7919,
-					WriteGate: gate,
-				}
-				return faultnet.Wrap(conn, spec, nil), nil
-			}, serving.ResilientOptions{})
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			if c, ok := o.(*serving.ResilientClient); ok {
-				return c.Close()
-			}
-			return nil
-		},
-	})
+	}, faultnet.Spec{WriteGate: gate}, serving.ResilientOptions{})
 	if err != nil {
 		return nil, err
 	}
-	hi := opts.ClassMbps[len(opts.ClassMbps)-1]
-	lo := opts.ClassMbps[0]
+	hi, lo := classMbps[len(classMbps)-1], classMbps[0]
 	mon := &scheduleMonitor{phaseMbps: []float64{hi, lo, hi}}
 	mgr, err := gateway.NewSwapManager(gw, provider, mon, phaseTime(0))
 	if err != nil {
@@ -178,28 +114,7 @@ func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
 	if err := gw.Start(); err != nil {
 		return nil, err
 	}
-
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-	records := make([]GatewayRecord, 0, 3*opts.RequestsPerPhase)
-	chans := make([]<-chan gateway.Result, 0, cap(records))
-	submit := func(phase int) error {
-		for i := 0; i < opts.RequestsPerPhase; i++ {
-			session := fmt.Sprintf("session-%03d", len(records)%opts.Sessions)
-			x := tensor.Randn(rng, 1, 3, 16, 16)
-			ch, err := gw.Submit(session, x)
-			if err != nil {
-				return fmt.Errorf("emulator: integrity submit (phase %d): %w", phase, err)
-			}
-			records = append(records, GatewayRecord{Session: session, Phase: phase, Input: x})
-			chans = append(chans, ch)
-		}
-		return nil
-	}
-	drainFrom := func(lo int) {
-		for i := lo; i < len(chans); i++ {
-			records[i].Result = <-chans[i]
-		}
-	}
+	rec := newRecorder(gw, opts.Sessions, opts.Seed)
 
 	// Phase 0: partitioned variant, wedged worker. Arm before submitting so
 	// the first offload write of the phase parks; once the wedge is in
@@ -208,7 +123,7 @@ func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
 	// can only finish if the replacement re-served the orphaned batch —
 	// the gate stays held until the very end of the run.
 	gate.Arm()
-	if err := submit(0); err != nil {
+	if err := rec.submit(0, perPhase, false); err != nil {
 		return nil, err
 	}
 	for i := 0; i < 30_000 && !gate.Claimed(); i++ {
@@ -217,28 +132,26 @@ func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
 	if !gate.Claimed() {
 		return nil, fmt.Errorf("emulator: no offload write claimed the stall gate")
 	}
-	clk.Advance(2 * opts.StallTimeout)
-	drainFrom(0)
-	drained := len(chans)
+	clk.Advance(2 * integrityStallTimeout)
+	rec.drain()
 
 	// Phase 1: collapse to the low class; the edge-resident variant serves.
 	if _, err := mgr.Poll(phaseTime(1)); err != nil {
 		return nil, err
 	}
 	// Corrupt the cached partitioned variant while nothing is flying on it.
-	corrupt, err := provider.ForClass(len(opts.ClassMbps) - 1)
+	corrupt, err := provider.ForClass(len(classMbps) - 1)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := integrity.NewCorruptor(opts.Seed+2).Corrupt(corrupt.Net, opts.CorruptMode)
+	rep, err := integrity.NewCorruptor(opts.Seed+2).Corrupt(corrupt.Net, integrity.BitFlip)
 	if err != nil {
 		return nil, err
 	}
-	if err := submit(1); err != nil {
+	if err := rec.submit(1, perPhase, false); err != nil {
 		return nil, err
 	}
-	drainFrom(drained)
-	drained = len(chans)
+	rec.drain()
 
 	// Phase 2: bandwidth recovers, the monitor wants the high class back —
 	// but its variant is poisoned. The pre-swap verification must quarantine
@@ -246,29 +159,27 @@ func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
 	if _, err := mgr.Poll(phaseTime(2)); err != nil {
 		return nil, err
 	}
-	if err := submit(2); err != nil {
+	if err := rec.submit(2, perPhase, false); err != nil {
 		return nil, err
 	}
-	drainFrom(drained)
+	rec.drain()
 
 	gate.Release()
 	out := &IntegrityRunResult{
-		Records:      records,
+		Records:      rec.records,
 		Corruption:   rep,
 		CorruptSig:   corrupt.Sig,
 		Quarantined:  provider.Quarantined(),
 		DesiredClass: mgr.Desired(),
 		ServedClass:  mgr.Class(),
 		Swaps:        mgr.Swaps(),
+		StallTimeout: integrityStallTimeout,
 		Options:      opts,
 	}
 	out.Report = gw.Stop()
 	out.Metrics = registry.Snapshot()
-	for i := range records {
-		if records[i].Result.Err != nil {
-			return nil, fmt.Errorf("emulator: integrity request %d (phase %d): %w",
-				i, records[i].Phase, records[i].Result.Err)
-		}
+	if err := rec.err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package emulator
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"cadmc/internal/faultnet"
@@ -71,38 +70,15 @@ func RunLive(model *nn.Net, inputs []*tensor.Tensor, opts LiveOptions) (*LiveRes
 		opts.StepMS = 100
 	}
 
-	srv := serving.NewServer()
-	srv.IdleTimeout = 5 * time.Second
-	if err := srv.Register("live", model); err != nil {
+	st, err := NewStack()
+	if err != nil {
 		return nil, err
 	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("emulator: live listen: %w", err)
+	defer func() { _ = st.Close() }()
+	if err := st.Server.Register("live", model); err != nil {
+		return nil, err
 	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(lis) }()
-	defer func() {
-		_ = srv.Close()
-		<-done
-	}()
-
 	clock := faultnet.NewManualClock()
-	addr := lis.Addr().String()
-	// dial runs under the client's request lock, so dialSeq needs no extra
-	// synchronisation; each connection gets a decorrelated fault stream.
-	dialSeq := int64(0)
-	spec := opts.Spec
-	dial := func() (net.Conn, error) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		s := spec
-		s.Seed = spec.Seed + dialSeq*7919
-		dialSeq++
-		return faultnet.Wrap(conn, s, clock), nil
-	}
 	registry := telemetry.NewRegistry()
 	res := opts.Resilience
 	res.Now = clock.Now
@@ -110,7 +86,7 @@ func RunLive(model *nn.Net, inputs []*tensor.Tensor, opts LiveOptions) (*LiveRes
 	if res.Metrics == nil {
 		res.Metrics = registry
 	}
-	client, err := serving.NewResilientClient(dial, res)
+	client, err := serving.NewResilientClient(st.Dial(opts.Spec, clock), res)
 	if err != nil {
 		return nil, err
 	}

@@ -1,56 +1,38 @@
 package emulator
 
 import (
-	"fmt"
-	"math/rand"
-	"net"
+	"slices"
 	"time"
 
+	"cadmc/internal/faultnet"
 	"cadmc/internal/gateway"
 	"cadmc/internal/serving"
 	"cadmc/internal/telemetry"
-	"cadmc/internal/tensor"
 )
 
 // TraceOptions sizes one deterministic traced replay.
 type TraceOptions struct {
-	// RequestsPerPhase is how many requests each bandwidth phase submits
-	// (default 4).
-	RequestsPerPhase int
-	// Sessions is how many session names the requests round-robin over
-	// (default 4).
-	Sessions int
-	// PhaseMbps is the bandwidth schedule (default {high, low} of ClassMbps:
-	// the first phase offloads, the second collapses to edge-only, so one
-	// replay shows both span shapes and one hot-swap).
-	PhaseMbps []float64
-	// ClassMbps are the demo tree's bandwidth-class levels (default {2, 8}).
-	ClassMbps []float64
-	// Seed drives the variant weights and request inputs.
+	// Seed drives the variant weights and request inputs (default 1).
 	Seed int64
-	// Step is the auto-clock increment per clock read (default 1ms). Every
-	// span boundary in the waterfall is a multiple of it.
-	Step time.Duration
 }
 
+// The traced replay's fixed shape: traceSessions session names, and
+// traceRequestsPerPhase requests in each phase of tracePhaseMbps — high then
+// low of classMbps, so the first phase offloads, the second collapses to
+// edge-only, and one replay shows both span shapes and one hot-swap. Every
+// AutoClock read advances traceStep, so every span boundary in the
+// waterfall is a multiple of it.
+const (
+	traceSessions         = 4
+	traceRequestsPerPhase = 4
+	traceStep             = time.Millisecond
+)
+
+var tracePhaseMbps = []float64{8, 2}
+
 func (o TraceOptions) withDefaults() TraceOptions {
-	if o.RequestsPerPhase <= 0 {
-		o.RequestsPerPhase = 4
-	}
-	if o.Sessions <= 0 {
-		o.Sessions = 4
-	}
-	if len(o.ClassMbps) == 0 {
-		o.ClassMbps = []float64{2, 8}
-	}
-	if len(o.PhaseMbps) == 0 {
-		o.PhaseMbps = []float64{o.ClassMbps[len(o.ClassMbps)-1], o.ClassMbps[0]}
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Step <= 0 {
-		o.Step = time.Millisecond
 	}
 	return o
 }
@@ -70,6 +52,10 @@ type TraceRunResult struct {
 	Report gateway.Report
 	// SigCounts counts completions per serving variant signature.
 	SigCounts map[string]int64
+	// PhaseMbps is the bandwidth schedule, one level per phase, and Step the
+	// clock increment per read.
+	PhaseMbps []float64
+	Step      time.Duration
 	// Options echoes the fully defaulted options.
 	Options TraceOptions
 }
@@ -85,35 +71,24 @@ type TraceRunResult struct {
 // connection; only time is virtual.
 func RunTrace(opts TraceOptions) (*TraceRunResult, error) {
 	opts = opts.withDefaults()
-	tree, err := gateway.DemoTree(opts.ClassMbps)
+	st, err := NewStack()
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = st.Close() }()
+	provider, err := st.Provider(opts.Seed)
 	if err != nil {
 		return nil, err
 	}
 
-	srv := serving.NewServer()
-	srv.IdleTimeout = 10 * time.Second
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("emulator: trace listen: %w", err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(lis) }()
-	defer func() {
-		_ = srv.Close()
-		<-serveDone
-	}()
-	addr := lis.Addr().String()
-
-	provider, err := gateway.NewVariantProvider(tree, opts.Seed, srv.Register)
-	if err != nil {
-		return nil, err
-	}
-
-	clock := telemetry.NewAutoClock(opts.Step)
+	clock := faultnet.NewAutoClock(traceStep)
 	registry := telemetry.NewRegistry()
-	total := opts.RequestsPerPhase * len(opts.PhaseMbps)
+	total := traceRequestsPerPhase * len(tracePhaseMbps)
 	tracer := telemetry.NewTracer(total)
-	gw, err := gateway.New(gateway.Config{
+	// The offload connections carry no fault and keep their own real clocks
+	// (the dialer is handed no clock): only the client's latency metering
+	// and the gateway read the shared auto-clock.
+	gw, err := st.Gateway(gateway.Config{
 		// One worker and immediate dispatch: with submit→drain serialised
 		// below, exactly one goroutine reads the auto-clock at a time, which
 		// is what makes the replay's timeline deterministic.
@@ -125,28 +100,11 @@ func RunTrace(opts TraceOptions) (*TraceRunResult, error) {
 		Clock:           clock,
 		Metrics:         registry,
 		Tracer:          tracer,
-		NewOffloader: func(workerID int) (serving.Offloader, error) {
-			// Plain TCP — no fault injection, nothing nondeterministic on the
-			// wire — and the shared auto-clock for latency metering.
-			return serving.NewResilientClient(func() (net.Conn, error) {
-				return net.Dial("tcp", addr)
-			}, serving.ResilientOptions{
-				Seed: opts.Seed,
-				Now:  clock.Now,
-			})
-		},
-		CloseOffloader: func(o serving.Offloader) error {
-			if c, ok := o.(*serving.ResilientClient); ok {
-				return c.Close()
-			}
-			return nil
-		},
-	})
+	}, faultnet.Spec{}, serving.ResilientOptions{Seed: opts.Seed, Now: clock.Now})
 	if err != nil {
 		return nil, err
 	}
-	mon := &scheduleMonitor{phaseMbps: opts.PhaseMbps}
-	mgr, err := gateway.NewSwapManager(gw, provider, mon, phaseTime(0))
+	mgr, err := gateway.NewSwapManager(gw, provider, &scheduleMonitor{phaseMbps: tracePhaseMbps}, phaseTime(0))
 	if err != nil {
 		return nil, err
 	}
@@ -154,35 +112,30 @@ func RunTrace(opts TraceOptions) (*TraceRunResult, error) {
 		return nil, err
 	}
 
-	rng := rand.New(rand.NewSource(opts.Seed + 1))
-	out := &TraceRunResult{
-		SigCounts: make(map[string]int64),
-		Options:   opts,
-	}
-	reqIdx := 0
-	for phase := range opts.PhaseMbps {
+	rec := newRecorder(gw, traceSessions, opts.Seed)
+	for phase := range tracePhaseMbps {
 		if _, err := mgr.Poll(phaseTime(phase)); err != nil {
 			return nil, err
 		}
-		for i := 0; i < opts.RequestsPerPhase; i++ {
-			session := fmt.Sprintf("session-%03d", reqIdx%opts.Sessions)
-			reqIdx++
-			x := tensor.Randn(rng, 1, 3, 16, 16)
-			ch, err := gw.Submit(session, x)
-			if err != nil {
-				return nil, fmt.Errorf("emulator: trace submit (phase %d): %w", phase, err)
+		for i := 0; i < traceRequestsPerPhase; i++ {
+			if err := rec.submit(phase, 1, true); err != nil {
+				return nil, err
 			}
 			// Drain before the next submit: the serialisation that pins the
 			// clock-read order.
-			res := <-ch
-			if res.Err != nil {
-				return nil, fmt.Errorf("emulator: trace request %d (phase %d): %w", reqIdx, phase, res.Err)
-			}
-			out.SigCounts[res.VariantSig]++
+			rec.drain()
 		}
 	}
-	out.Report = gw.Stop()
-
+	out := &TraceRunResult{
+		Report:    gw.Stop(),
+		SigCounts: rec.sigCounts(),
+		PhaseMbps: slices.Clone(tracePhaseMbps),
+		Step:      traceStep,
+		Options:   opts,
+	}
+	if err := rec.err(); err != nil {
+		return nil, err
+	}
 	out.Snapshot = registry.Snapshot()
 	out.Exposition = out.Snapshot.Text()
 	out.Traces = tracer.Traces()

@@ -44,7 +44,7 @@ func TestRunTraceBitIdenticalReplay(t *testing.T) {
 	}
 	runtime.GOMAXPROCS(prev)
 
-	total := a.Options.RequestsPerPhase * len(a.Options.PhaseMbps)
+	total := traceRequestsPerPhase * len(a.PhaseMbps)
 	if len(a.Traces) != total {
 		t.Fatalf("traces = %d, want %d", len(a.Traces), total)
 	}

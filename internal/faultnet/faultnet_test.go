@@ -235,3 +235,15 @@ func TestManualClock(t *testing.T) {
 		t.Fatalf("clock = %v, want 1s", c.Now())
 	}
 }
+
+func TestAutoClockStepsPerRead(t *testing.T) {
+	c := NewAutoClock(time.Millisecond)
+	for i := 0; i < 5; i++ {
+		if got := c.Now(); got != time.Duration(i)*time.Millisecond {
+			t.Fatalf("read %d = %v, want %v", i, got, time.Duration(i)*time.Millisecond)
+		}
+	}
+	if got := c.Reads(); got != 5 {
+		t.Fatalf("Reads = %d, want 5", got)
+	}
+}

@@ -295,6 +295,9 @@ type Gateway struct {
 
 	supDone chan struct{}
 
+	stopOnce sync.Once
+	final    Report
+
 	mu          sync.Mutex
 	workers     []*worker
 	retired     []*worker
@@ -439,9 +442,15 @@ func (g *Gateway) Submit(session string, x *tensor.Tensor) (<-chan Result, error
 }
 
 // Stop closes admissions, drains every queued request through the workers,
-// waits for the pool to exit, and returns the final report. Safe to call
-// once; Submit calls racing with Stop are shed with ErrClosed.
+// waits for the pool to exit, and returns the final report. Later calls
+// wait for the first and return its report; Submit calls racing with Stop
+// are shed with ErrClosed.
 func (g *Gateway) Stop() Report {
+	g.stopOnce.Do(func() { g.final = g.stop() })
+	return g.final
+}
+
+func (g *Gateway) stop() Report {
 	g.q.close()
 	if g.started.Load() {
 		if g.supDone != nil {

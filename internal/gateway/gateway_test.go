@@ -571,3 +571,46 @@ func TestGatewayConcurrentSubmitters(t *testing.T) {
 func sessionName(id int) string {
 	return string(rune('a'+id)) + "-session"
 }
+
+// TestStopIsIdempotent stops a supervised gateway from several goroutines
+// at once: one call drains the pool, the others wait for it, and every call
+// returns the same final report.
+func TestStopIsIdempotent(t *testing.T) {
+	p := demoProvider(t, 61, nil)
+	v, err := p.ForClass(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := New(Config{Workers: 2, StallTimeout: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gw.SetVariant(v); err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := gw.Submit("s", demoInput(rand.New(rand.NewSource(62))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := <-ch; res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	reps := make([]Report, 4)
+	var wg sync.WaitGroup
+	for i := range reps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			reps[i] = gw.Stop()
+		}(i)
+	}
+	wg.Wait()
+	for i, rep := range reps {
+		if rep.Completed != 1 || rep.Routes.Inferences != 1 {
+			t.Fatalf("Stop call %d reported %+v, want the one completed request", i, rep)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Package telemetry is the serving stack's observability subsystem: a
 // concurrency-safe metrics registry (atomic counters, gauges, and
 // fixed-bucket histograms with exact quantiles), request tracing with
-// per-request waterfalls on an injectable clock, and pprof profiling
+// per-request waterfalls on caller-supplied timestamps, and pprof profiling
 // helpers. It is stdlib-only and imports nothing from the rest of the repo,
 // so every layer — gateway, serving, parallel, emulator, the CLIs — can
 // instrument itself against it without import cycles.
@@ -15,7 +15,9 @@
 //
 // The package never reads the wall clock: all timestamps and durations are
 // handed in by callers, which in clock-injected packages means they come
-// from the faultnet.Clock seam. The walltime analyzer enforces this.
+// from the faultnet.Clock seam — the repo's one clock interface, with its
+// real, manual and auto-stepping implementations beside it. The walltime
+// analyzer enforces this.
 package telemetry
 
 import (

@@ -6,58 +6,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
-// Clock reports elapsed time since an arbitrary origin. It is structurally
-// identical to faultnet.Clock, so any clock already threaded through the
-// serving stack (real, manual, or auto-stepping) satisfies both interfaces —
-// telemetry never reads the wall clock itself.
-type Clock interface {
-	Now() time.Duration
-}
-
-// AutoClock is a deterministic clock that advances itself by a fixed step on
-// every Now call. When the sequence of clock reads in a replay is
-// deterministic (single worker, requests serialized), every timestamp —
-// admission, dispatch, offload, completion — is a pure function of the read
-// order, so two replays of the same seed produce bit-identical traces with
-// non-degenerate span widths. It reads nothing from the environment.
-type AutoClock struct {
-	mu   sync.Mutex
-	t    time.Duration
-	step time.Duration
-}
-
-// NewAutoClock returns an auto-stepping clock starting at zero; each Now
-// returns the current time and then advances by step (minimum 1ns, so the
-// sequence is strictly increasing).
-func NewAutoClock(step time.Duration) *AutoClock {
-	if step <= 0 {
-		step = time.Nanosecond
-	}
-	return &AutoClock{step: step}
-}
-
-// Now returns the current virtual time and steps the clock forward.
-func (c *AutoClock) Now() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := c.t
-	c.t += c.step
-	return t
-}
-
-// Reads reports how many Now calls the clock has served (the current
-// virtual time divided by the step).
-func (c *AutoClock) Reads() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return int64(c.t / c.step)
-}
-
 // Span is one named phase of a request's life, in milliseconds on the
-// clock axis the trace was recorded against.
+// clock axis the trace was recorded against (the caller's faultnet.Clock;
+// faultnet.AutoClock makes a replay's spans deterministic).
 type Span struct {
 	Name    string  `json:"name"`
 	Detail  string  `json:"detail,omitempty"`

@@ -4,20 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
-
-func TestAutoClockStepsPerRead(t *testing.T) {
-	c := NewAutoClock(time.Millisecond)
-	for i := 0; i < 5; i++ {
-		if got := c.Now(); got != time.Duration(i)*time.Millisecond {
-			t.Fatalf("read %d = %v, want %v", i, got, time.Duration(i)*time.Millisecond)
-		}
-	}
-	if got := c.Reads(); got != 5 {
-		t.Fatalf("Reads = %d, want 5", got)
-	}
-}
 
 func TestTracerRingDropsOldest(t *testing.T) {
 	tr := NewTracer(2)

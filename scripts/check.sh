@@ -53,7 +53,7 @@ go test -race -count=2 -run 'Resilient|Breaker|Live|Client|Split|Server' \
     ./internal/serving ./internal/emulator
 
 echo "== gateway soak (-count=2: hot-swaps must be lossless and race-clean)"
-go test -race -count=2 -run 'Gateway' ./internal/gateway ./internal/emulator
+go test -race -count=2 -run 'Gateway|Stack|Golden' ./internal/gateway ./internal/emulator
 
 echo "== chaos-integrity (-count=2: corruption quarantined pre-swap, wedged workers healed)"
 go test -race -count=2 -run 'Integrity|Quarantine|Corrupt|Supervisor|Manifest' \
@@ -78,7 +78,7 @@ go test -run '^$' -bench . -benchtime 1x ./internal/tensor ./internal/nn ./inter
 echo "== wire determinism (bit-exact mode must replay identically at any GOMAXPROCS)"
 for procs in 1 4 8; do
     GOMAXPROCS=$procs go test -count=1 \
-        -run 'TestGatewayEndToEndAcrossHotSwaps|TestRunTraceBitIdenticalReplay' \
+        -run 'TestGatewayEndToEndAcrossHotSwaps|TestRunTraceBitIdenticalReplay|Stack|Golden' \
         ./internal/emulator
 done
 
