@@ -1,6 +1,7 @@
 // Command kernbench benchmarks the compute kernels that internal/parallel
 // accelerates — MatMul, Conv2D, the batched network forward pass, and the
-// full report.Evaluate pipeline — across three execution modes:
+// inference executor beside the training forward it is bit-exact against —
+// across three execution modes:
 //
 //   - serial: the worker pool pinned off (parallel.SetSerial), the
 //     pre-parallel single-core code path;
@@ -14,7 +15,15 @@
 // ns/op, allocs/op and B/op per kernel per mode, speedup ratios, and the
 // execution environment (Go version, GOMAXPROCS, NumCPU) — without which
 // the ratios are meaningless: at GOMAXPROCS=1 the pool is bypassed and
-// parallel speedup is by construction ≈1.
+// parallel speedup is by construction ≈1. The report.Evaluate pipeline,
+// which times the RL controllers rather than a tensor kernel, is measured
+// once on the default runtime and reported outside the kernel table.
+//
+// A full run (not -quick) is also a gate on the inference executor, as
+// in-process ratios that hold on any host: it fails unless the demo
+// network's batch-8 inference forward is at least minInferSpeedup times
+// faster than the training forward over the same samples in serial mode,
+// allocating at most maxInferAllocs objects per sample.
 //
 // Usage:
 //
@@ -25,12 +34,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
 	"time"
 
 	"cadmc/internal/emulator"
+	"cadmc/internal/gateway"
 	"cadmc/internal/nn"
 	"cadmc/internal/parallel"
 	"cadmc/internal/report"
@@ -73,7 +84,36 @@ type benchReport struct {
 	Env         parallel.EnvInfo `json:"env"`
 	BenchtimeMS float64          `json:"benchtime_ms"`
 	Kernels     []kernelRow      `json:"kernels"`
+	// Inference compares the executor with the training forward on the
+	// demo network's batch.
+	Inference inferenceSummary `json:"inference"`
+	// Evaluate times the report.Evaluate pipeline once, on the default
+	// runtime (pool and arena on).
+	Evaluate pipelineRow `json:"evaluate"`
 }
+
+// inferenceSummary is the gate's view of the infer_forward and
+// train_forward rows on the demo network.
+type inferenceSummary struct {
+	Dims string `json:"dims"`
+	// SerialSpeedup is the training forward's time over the inference
+	// forward's in serial mode, each its fastest of many alternating calls.
+	SerialSpeedup float64 `json:"serial_speedup"`
+	// AllocsPerSample is infer_forward's allocs/op in parallel mode divided
+	// by the batch size.
+	AllocsPerSample float64 `json:"allocs_per_sample"`
+}
+
+type pipelineRow struct {
+	Dims  string    `json:"dims"`
+	Stats modeStats `json:"stats"`
+}
+
+// The inference gate's floors (see the package comment).
+const (
+	minInferSpeedup = 1.3
+	maxInferAllocs  = 2
+)
 
 // measure times fn like testing.B: ramp the iteration count until the
 // measured loop exceeds benchtime, then report per-op cost from the final
@@ -209,9 +249,37 @@ func run(benchtime time.Duration, quick bool, out string) error {
 	if quick {
 		batch = 4
 	}
-	xs := make([]*tensor.Tensor, batch)
-	for i := range xs {
-		xs[i] = tensor.Randn(rng, 1, model.Input.C, model.Input.H, model.Input.W)
+	xs := randomInputs(rng, model, batch)
+
+	// The inference executor beside the training forward: the serving demo
+	// network at the gateway's full batch, and VGG11 on one CIFAR image.
+	tree, err := gateway.DemoTree([]float64{2, 8})
+	if err != nil {
+		return err
+	}
+	demo, err := nn.NewNet(tree.Base, rand.New(rand.NewSource(53)))
+	if err != nil {
+		return err
+	}
+	const demoBatch = 8
+	demoXs := randomInputs(rng, tree.Base, demoBatch)
+	demoDims := fmt.Sprintf("%s batch=%d", tree.Base.Name, demoBatch)
+	type pair struct {
+		dims string
+		net  *nn.Net
+		xs   []*tensor.Tensor
+	}
+	pairs := []pair{{demoDims, demo, demoXs}}
+	if !quick {
+		vgg, err := nn.Zoo("VGG11", nn.CIFARInput, nn.CIFARClasses)
+		if err != nil {
+			return err
+		}
+		vggNet, err := nn.NewNet(vgg, rand.New(rand.NewSource(54)))
+		if err != nil {
+			return err
+		}
+		pairs = append(pairs, pair{"VGG11 batch=1", vggNet, randomInputs(rng, vgg, 1)})
 	}
 
 	// Evaluate: the end-to-end train-and-replay pipeline over two paper
@@ -236,10 +304,11 @@ func run(benchtime time.Duration, quick bool, out string) error {
 		Env:         parallel.Env(),
 		BenchtimeMS: float64(benchtime.Milliseconds()),
 	}
-	kernels := []struct {
+	type kernel struct {
 		name, dims string
 		fn         func()
-	}{
+	}
+	kernels := []kernel{
 		{"matmul", fmt.Sprintf("[%dx%d]x[%dx%d]", mmM, mmK, mmK, mmN), func() {
 			if _, err := tensor.MatMul(a, b); err != nil {
 				panic(err) //cadmc:allow panicfree — benchmark shapes are fixed at build time
@@ -255,21 +324,55 @@ func run(benchtime time.Duration, quick bool, out string) error {
 				panic(err) //cadmc:allow panicfree — benchmark shapes are fixed at build time
 			}
 		}},
-		{"evaluate", fmt.Sprintf("%d scenarios, %d+%d episodes", len(specs), opts.TreeEpisodes, opts.BranchEpisodes), func() {
-			if _, err := report.Evaluate(specs, opts); err != nil {
-				panic(err) //cadmc:allow panicfree — benchmark scenarios are fixed at build time
-			}
-		}},
 	}
+	forwards := func(p pair) (train, infer func()) {
+		train = func() {
+			for _, x := range p.xs {
+				if _, err := p.net.Forward(x); err != nil {
+					panic(err) //cadmc:allow panicfree — benchmark shapes are fixed at build time
+				}
+			}
+		}
+		infer = func() {
+			if _, err := p.net.ForwardBatch(p.xs); err != nil {
+				panic(err) //cadmc:allow panicfree — benchmark shapes are fixed at build time
+			}
+		}
+		return train, infer
+	}
+	for _, p := range pairs {
+		train, infer := forwards(p)
+		kernels = append(kernels, kernel{"train_forward", p.dims, train}, kernel{"infer_forward", p.dims, infer})
+	}
+	rows := make(map[string]kernelRow)
 	for _, k := range kernels {
 		row := benchKernel(k.name, k.dims, benchtime, k.fn)
 		rep.Kernels = append(rep.Kernels, row)
-		fmt.Printf("%-14s serial %12.0f ns/op | parallel %12.0f ns/op (%.2fx) | +arena %12.0f ns/op (%.2fx, %.0f%% fewer allocs)\n",
-			k.name, row.Modes["serial"].NsPerOp,
+		rows[k.name+" "+k.dims] = row
+		fmt.Printf("%-14s %-22s serial %12.0f ns/op | parallel %12.0f ns/op (%.2fx) | +arena %12.0f ns/op (%.2fx, %.0f%% fewer allocs)\n",
+			k.name, k.dims, row.Modes["serial"].NsPerOp,
 			row.Modes["parallel"].NsPerOp, row.ParallelSpeedup,
 			row.Modes["parallel_arena"].NsPerOp, row.ParallelArenaSpeedup,
 			100*row.ArenaAllocsSaved)
 	}
+	demoTrain, demoInfer := forwards(pairs[0])
+	rep.Inference = inferenceSummary{
+		Dims:            demoDims,
+		SerialSpeedup:   serialRatio(benchtime, demoTrain, demoInfer),
+		AllocsPerSample: rows["infer_forward "+demoDims].Modes["parallel"].AllocsPerOp / demoBatch,
+	}
+	fmt.Printf("inference      %-22s %.2fx the training forward (serial), %.2f allocs/sample\n",
+		demoDims, rep.Inference.SerialSpeedup, rep.Inference.AllocsPerSample)
+
+	rep.Evaluate = pipelineRow{
+		Dims: fmt.Sprintf("%d scenarios, %d+%d episodes", len(specs), opts.TreeEpisodes, opts.BranchEpisodes),
+		Stats: measure(benchtime, func() {
+			if _, err := report.Evaluate(specs, opts); err != nil {
+				panic(err) //cadmc:allow panicfree — benchmark scenarios are fixed at build time
+			}
+		}),
+	}
+	fmt.Printf("evaluate       %-22s %12.0f ns/op\n", rep.Evaluate.Dims, rep.Evaluate.Stats.NsPerOp)
 
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -279,5 +382,47 @@ func run(benchtime time.Duration, quick bool, out string) error {
 		return err
 	}
 	fmt.Printf("wrote %s (gomaxprocs=%d numcpu=%d)\n", out, rep.Env.GOMAXPROCS, rep.Env.NumCPU)
+	if quick {
+		return nil // millisecond smoke timings are too coarse to gate on
+	}
+	if rep.Inference.SerialSpeedup < minInferSpeedup {
+		return fmt.Errorf("%s: inference forward %.2fx the training forward, below floor %.2fx",
+			demoDims, rep.Inference.SerialSpeedup, minInferSpeedup)
+	}
+	if rep.Inference.AllocsPerSample > maxInferAllocs {
+		return fmt.Errorf("%s: inference forward %.2f allocs/sample, above ceiling %d",
+			demoDims, rep.Inference.AllocsPerSample, maxInferAllocs)
+	}
 	return nil
+}
+
+// serialRatio times single calls of slow and fast alternately in serial
+// mode, for at least benchtime and 200 pairs, and returns slow's fastest
+// call over fast's. On a shared host the fastest call is the one least
+// disturbed by other load, and alternating call by call keeps a burst of
+// load from landing on one side only.
+func serialRatio(benchtime time.Duration, slow, fast func()) float64 {
+	prev := parallel.SetSerial(true)
+	defer parallel.SetSerial(prev)
+	slow()
+	fast()
+	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+	start := time.Now()
+	for n := 0; n < 200 || time.Since(start) < benchtime; n++ {
+		for i, fn := range []func(){slow, fast} {
+			t := time.Now()
+			fn()
+			best[i] = min(best[i], time.Since(t))
+		}
+	}
+	return float64(best[0]) / float64(best[1])
+}
+
+// randomInputs draws n standard-normal inputs shaped for m.
+func randomInputs(rng *rand.Rand, m *nn.Model, n int) []*tensor.Tensor {
+	xs := make([]*tensor.Tensor, n)
+	for i := range xs {
+		xs[i] = tensor.Randn(rng, 1, m.Input.C, m.Input.H, m.Input.W)
+	}
+	return xs
 }

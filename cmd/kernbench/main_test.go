@@ -26,7 +26,7 @@ func TestRunQuickWritesReport(t *testing.T) {
 	if rep.Env.GoVersion == "" || rep.Env.GOMAXPROCS < 1 || rep.Env.NumCPU < 1 {
 		t.Fatalf("environment not recorded: %+v", rep.Env)
 	}
-	want := map[string]bool{"matmul": true, "conv2d": true, "forward_batch": true, "evaluate": true}
+	want := map[string]bool{"matmul": true, "conv2d": true, "forward_batch": true, "train_forward": true, "infer_forward": true}
 	if len(rep.Kernels) != len(want) {
 		t.Fatalf("got %d kernels, want %d", len(rep.Kernels), len(want))
 	}
@@ -43,5 +43,11 @@ func TestRunQuickWritesReport(t *testing.T) {
 				t.Fatalf("%s/%s: empty measurement %+v", k.Kernel, mode, m)
 			}
 		}
+	}
+	if rep.Evaluate.Stats.Iterations < 1 || rep.Evaluate.Stats.NsPerOp <= 0 {
+		t.Fatalf("evaluate pipeline not measured: %+v", rep.Evaluate)
+	}
+	if rep.Inference.SerialSpeedup <= 0 || rep.Inference.AllocsPerSample <= 0 {
+		t.Fatalf("inference summary empty: %+v", rep.Inference)
 	}
 }

@@ -158,6 +158,47 @@ type environment struct {
 	cfg     Config
 	energy  latency.EnergyModel
 	rng     *rand.Rand
+	// static holds each executed model's cost table, built on first use.
+	static map[*nn.Model]*staticCosts
+}
+
+// staticCosts is one model's cost table and its per-layer latencies on the
+// edge and cloud devices: executeStatic prices every decision from these
+// instead of rebuilding the table four times per inference.
+type staticCosts struct {
+	c           *nn.Costs
+	edge, cloud []float64 // latency.PerLayerMS on Est.Edge and Est.Cloud
+}
+
+// costs returns m's cost table, building it on first use.
+func (e *environment) costs(m *nn.Model) (*staticCosts, error) {
+	if sc, ok := e.static[m]; ok {
+		return sc, nil
+	}
+	c, err := m.Costs()
+	if err != nil {
+		return nil, err
+	}
+	sc := &staticCosts{
+		c:     c,
+		edge:  latency.PerLayerMS(m, c, e.p.Est.Edge),
+		cloud: latency.PerLayerMS(m, c, e.p.Est.Cloud),
+	}
+	if e.static == nil {
+		e.static = make(map[*nn.Model]*staticCosts)
+	}
+	e.static[m] = sc
+	return sc, nil
+}
+
+// sumMS adds per-layer latencies in layer order from zero, exactly as
+// latency.RangeMS does, so the sum matches it bit for bit.
+func sumMS(perLayer []float64) float64 {
+	total := 0.0
+	for _, ms := range perLayer {
+		total += ms
+	}
+	return total
 }
 
 // factor returns the field-mode realised-latency multiplier for one
@@ -233,14 +274,17 @@ func run(p *core.Problem, pol policy, trace *network.Trace, cfg Config) (Result,
 func executeStatic(env *environment, m *nn.Model, cut int, t0 float64) (float64, float64, error) {
 	f := env.factor()
 	n := len(m.Layers)
-	edgeMS, err := latency.RangeMS(m, 0, cut+1, env.p.Est.Edge)
+	sc, err := env.costs(m)
 	if err != nil {
 		return 0, 0, err
 	}
-	total := edgeMS * f
+	if cut < -1 || cut >= n {
+		return 0, 0, fmt.Errorf("emulator: cut %d out of range [-1,%d)", cut, n)
+	}
+	total := sumMS(sc.edge[:cut+1]) * f
 	var transferMS, cloudMS float64
 	if cut < n-1 {
-		bytes, err := m.FeatureBytes(cut)
+		bytes, err := sc.c.FeatureBytes(cut)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -251,13 +295,10 @@ func executeStatic(env *environment, m *nn.Model, cut int, t0 float64) (float64,
 		}
 		transferMS *= f
 		total += transferMS
-		cloudMS, err = latency.RangeMS(m, cut+1, n, env.p.Est.Cloud)
-		if err != nil {
-			return 0, 0, err
-		}
+		cloudMS = sumMS(sc.cloud[cut+1:])
 		total += cloudMS
 	}
-	eb, err := env.energy.EdgeEnergy(m, cut, transferMS, cloudMS)
+	eb, err := env.energy.EdgeEnergyFrom(sc.c, cut, transferMS, cloudMS)
 	if err != nil {
 		return 0, 0, err
 	}

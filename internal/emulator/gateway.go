@@ -168,6 +168,7 @@ type recorder struct {
 	rng      *rand.Rand
 	records  []GatewayRecord
 	chans    []<-chan gateway.Result
+	got      []bool // records[i].Result has been received
 	drained  int
 }
 
@@ -186,14 +187,35 @@ func (r *recorder) submit(phase, n int, secondHalf bool) error {
 		}
 		r.records = append(r.records, GatewayRecord{Session: session, Phase: phase, Input: x, SecondHalf: secondHalf})
 		r.chans = append(r.chans, ch)
+		r.got = append(r.got, false)
 	}
 	return nil
+}
+
+// serial submits n requests for phase one at a time, each answered before
+// the next is offered, so every batch holds exactly one request.
+func (r *recorder) serial(phase, n int) error {
+	for i := 0; i < n; i++ {
+		if err := r.submit(phase, 1, false); err != nil {
+			return err
+		}
+		r.await(len(r.chans) - 1)
+	}
+	return nil
+}
+
+// await receives request i's result unless it already has.
+func (r *recorder) await(i int) {
+	if !r.got[i] {
+		r.records[i].Result = <-r.chans[i]
+		r.got[i] = true
+	}
 }
 
 // drain waits for every request submitted since the previous drain.
 func (r *recorder) drain() {
 	for ; r.drained < len(r.chans); r.drained++ {
-		r.records[r.drained].Result = <-r.chans[r.drained]
+		r.await(r.drained)
 	}
 }
 

@@ -123,3 +123,22 @@ func TestRunLiveGolden(t *testing.T) {
 		t.Errorf("metrics sha256 = %s, want %s:\n%s", got, wantMetrics, text)
 	}
 }
+
+// TestRunIntegrityGolden pins the self-healing replay at cmd/emulate -mode
+// integrity -sessions 4: exactly one worker restart (the wedged one — the
+// healthy worker is never mistaken for it across the clock jump), the one
+// request it held re-queued, and the metrics exposition byte for byte.
+func TestRunIntegrityGolden(t *testing.T) {
+	res, err := RunIntegrity(IntegrityOptions{Sessions: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.Restarts != 1 || res.Report.Requeued != 1 {
+		t.Errorf("restarts=%d requeued=%d, want 1/1", res.Report.Restarts, res.Report.Requeued)
+	}
+	const wantMetrics = "01000619f582bb6e53b81719d5be40c6a1c74409cc86f702c4d56bec44a0ce1e"
+	text := res.Metrics.Text()
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != wantMetrics {
+		t.Errorf("metrics sha256 = %s, want %s:\n%s", got, wantMetrics, text)
+	}
+}

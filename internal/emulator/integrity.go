@@ -62,9 +62,11 @@ type IntegrityRunResult struct {
 // loopback offload channel, three phases on the schedule high → low → high:
 //
 //  1. Phase 0 serves the partitioned (high-bandwidth) variant while a write
-//     gate wedges one worker mid-offload; the supervisor detects the stalled
-//     heartbeat on the manual clock, abandons the worker, and a replacement
-//     re-serves its batch — every request completes exactly once.
+//     gate wedges one worker mid-offload; the other worker answers the rest
+//     of the phase, then the manual clock jumps past the stall timeout, the
+//     supervisor finds the wedged worker's progress standing still, abandons
+//     it, and a replacement re-serves its batch — every request completes
+//     exactly once.
 //  2. Between phases the partitioned variant's cached weights are corrupted
 //     with the seeded bit-flip injector while the gateway serves the
 //     edge-resident variant.
@@ -72,6 +74,11 @@ type IntegrityRunResult struct {
 //     catches the corruption, quarantines the signature, and the gateway
 //     keeps serving the last-known-good edge variant — whose logits are
 //     bit-identical to an out-of-band recompute.
+//
+// Requests go in one at a time, each answered before the next, and every
+// clock read — the gateway's and the offload clients' — is on the manual
+// clock, so equal options replay the same batches, the same single restart
+// and the same metrics.
 func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
 	opts = opts.withDefaults()
 	st, err := NewStack()
@@ -92,7 +99,7 @@ func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
 	defer gate.Release()
 	registry := telemetry.NewRegistry()
 	gw, err := st.Gateway(gateway.Config{
-		Workers:         4,
+		Workers:         2,
 		Metrics:         registry,
 		QueueCapacity:   3 * perPhase,
 		PerSessionLimit: -1,
@@ -101,7 +108,7 @@ func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
 		Clock:           clk,
 		StallTimeout:    integrityStallTimeout,
 		SupervisorPoll:  time.Millisecond,
-	}, faultnet.Spec{WriteGate: gate}, serving.ResilientOptions{})
+	}, faultnet.Spec{WriteGate: gate}, serving.ResilientOptions{Now: clk.Now})
 	if err != nil {
 		return nil, err
 	}
@@ -117,13 +124,14 @@ func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
 	rec := newRecorder(gw, opts.Sessions, opts.Seed)
 
 	// Phase 0: partitioned variant, wedged worker. Arm before submitting so
-	// the first offload write of the phase parks; once the wedge is in
-	// place, age the manual clock past the stall threshold and let the
-	// supervisor (polling in real time) restart the worker. The drain below
-	// can only finish if the replacement re-served the orphaned batch —
-	// the gate stays held until the very end of the run.
+	// the phase's first offload write parks; the other worker then answers
+	// the rest of the phase, so when the manual clock jumps past the stall
+	// threshold the wedged worker is the only one holding an unanswered
+	// request, and the supervisor (polling in real time) restarts it. The
+	// drain below can only finish if the replacement re-served the orphaned
+	// request — the gate stays held until the very end of the run.
 	gate.Arm()
-	if err := rec.submit(0, perPhase, false); err != nil {
+	if err := rec.submit(0, 1, false); err != nil {
 		return nil, err
 	}
 	for i := 0; i < 30_000 && !gate.Claimed(); i++ {
@@ -131,6 +139,9 @@ func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
 	}
 	if !gate.Claimed() {
 		return nil, fmt.Errorf("emulator: no offload write claimed the stall gate")
+	}
+	if err := rec.serial(0, perPhase-1); err != nil {
+		return nil, err
 	}
 	clk.Advance(2 * integrityStallTimeout)
 	rec.drain()
@@ -148,7 +159,7 @@ func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := rec.submit(1, perPhase, false); err != nil {
+	if err := rec.serial(1, perPhase); err != nil {
 		return nil, err
 	}
 	rec.drain()
@@ -159,7 +170,7 @@ func RunIntegrity(opts IntegrityOptions) (*IntegrityRunResult, error) {
 	if _, err := mgr.Poll(phaseTime(2)); err != nil {
 		return nil, err
 	}
-	if err := rec.submit(2, perPhase, false); err != nil {
+	if err := rec.serial(2, perPhase); err != nil {
 		return nil, err
 	}
 	rec.drain()

@@ -80,8 +80,9 @@ type Config struct {
 	NewOffloader func(worker int) (serving.Offloader, error)
 	// CloseOffloader releases a channel built by NewOffloader; may be nil.
 	CloseOffloader func(o serving.Offloader) error
-	// StallTimeout arms the worker supervisor: a worker that has held the
-	// same batch without a heartbeat for longer than this is declared wedged,
+	// StallTimeout arms the worker supervisor: a worker holding unanswered
+	// requests whose progress (layer ranges run, offload attempts made) has
+	// not moved across checks spanning longer than this is declared wedged,
 	// abandoned, and replaced, and its batch is re-queued onto the
 	// replacement. Zero disables supervision.
 	StallTimeout time.Duration
@@ -294,6 +295,9 @@ type Gateway struct {
 	nextWorker atomic.Int64
 
 	supDone chan struct{}
+	// lastCheck is the clock time of the supervisor's previous check; only
+	// the supervisor goroutine touches it.
+	lastCheck time.Duration
 
 	stopOnce sync.Once
 	final    Report

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -226,6 +227,98 @@ func TestSupervisorRestartsWedgedWorker(t *testing.T) {
 	}
 	if rep.Admitted != rep.Completed+rep.Shed {
 		t.Fatalf("invariant broken: %d != %d + %d", rep.Admitted, rep.Completed, rep.Shed)
+	}
+}
+
+// stepOffloader parks every Offload call until the test hands it a step
+// token (or closes step to free every call), announcing each call on
+// entered. It stands in for a healthy but slow offload channel.
+type stepOffloader struct {
+	entered chan struct{}
+	step    chan struct{}
+}
+
+func newStepOffloader() *stepOffloader {
+	return &stepOffloader{entered: make(chan struct{}, 8), step: make(chan struct{})}
+}
+
+func (o *stepOffloader) Offload(string, int, *tensor.Tensor) ([]float64, error) {
+	o.entered <- struct{}{}
+	<-o.step
+	return make([]float64, 10), nil
+}
+
+// Stall detection judges progress, not age: across one clock jump of twice
+// the stall timeout, two workers that keep stepping through their batches
+// must survive and only the one wedged mid-offload is restarted. The
+// supervisor's checks are driven by hand so the interleaving is exact; a
+// detector that restarts every worker whose batch is older than the
+// timeout restarts all three here.
+func TestSupervisorRestartsOnlyTheWedgedWorker(t *testing.T) {
+	clock := faultnet.NewManualClock()
+	offloaders := []*stepOffloader{newStepOffloader(), newStepOffloader(), newStepOffloader()}
+	wedged, healthy := offloaders[0], offloaders[1:]
+	gw, err := New(Config{
+		Workers:        3,
+		MaxBatch:       2,
+		MaxWait:        time.Minute, // real time: every worker waits for a full batch
+		Clock:          clock,
+		StallTimeout:   50 * time.Millisecond, // on the manual clock
+		SupervisorPoll: time.Hour,             // checks come from the test
+		NewOffloader: func(id int) (serving.Offloader, error) {
+			if id < len(offloaders) {
+				return offloaders[id], nil
+			}
+			return &wedgeOffloader{}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := demoProvider(t, 96, nil).ForClass(1) // partitioned: every request offloads
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gw.SetVariant(v1); err != nil {
+		t.Fatal(err)
+	}
+	var chans []<-chan Result
+	for i := 0; i < 6; i++ {
+		ch, err := gw.Submit(fmt.Sprintf("s%d", i), demoInput(rand.New(rand.NewSource(int64(10+i)))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	if err := gw.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range offloaders {
+		<-o.entered // each worker holds a batch of two, parked in its first offload
+	}
+	gw.checkWorkers()
+	for _, o := range healthy {
+		o.step <- struct{}{} // first request answered ...
+		<-o.entered          // ... and the second one's offload under way
+	}
+	clock.Advance(100 * time.Millisecond)
+	gw.checkWorkers()
+
+	for _, o := range healthy {
+		close(o.step)
+	}
+	close(wedged.step)
+	for i, ch := range chans {
+		if res := <-ch; res.Err != nil {
+			t.Fatalf("request %d: %v", i, res.Err)
+		}
+	}
+	rep := gw.Stop()
+	if rep.Restarts != 1 || rep.Requeued != 2 {
+		t.Fatalf("restarts=%d requeued=%d, want 1/2: only the wedged worker's batch is re-served", rep.Restarts, rep.Requeued)
+	}
+	if rep.Admitted != 6 || rep.Completed != 6 || rep.Admitted != rep.Completed+rep.Shed {
+		t.Fatalf("accounting %+v", rep)
 	}
 }
 

@@ -6,13 +6,13 @@ import (
 )
 
 // supervise is the worker watchdog: every SupervisorPoll it scans the pool
-// for workers whose heartbeat went stale while they hold a batch — wedged on
-// a hung offload, a stalled connection, anything that keeps serve() from
-// returning — and replaces each one. The wedged worker is abandoned, its
-// in-flight batch is handed to a fresh replacement (with a fresh offload
-// channel), and the settled CAS in complete() guarantees every request in
-// that batch is still answered exactly once even when the original
-// eventually unwedges and finishes its copy of the work.
+// for workers that hold unanswered requests but have stopped making
+// progress — wedged on a hung offload, a stalled connection, anything that
+// keeps serve() from returning — and replaces each one. The wedged worker
+// is abandoned, its in-flight batch is handed to a fresh replacement (with
+// a fresh offload channel), and the settled CAS in complete() guarantees
+// every request in that batch is still answered exactly once even when the
+// original eventually unwedges and finishes its copy of the work.
 func (g *Gateway) supervise(wg *sync.WaitGroup) {
 	defer wg.Done()
 	timer := time.NewTimer(g.cfg.SupervisorPoll)
@@ -29,8 +29,18 @@ func (g *Gateway) supervise(wg *sync.WaitGroup) {
 }
 
 // checkWorkers scans the live pool once and restarts every wedged worker.
+// Wedged is judged on progress, not age: a worker counts only when it holds
+// a request nobody has answered and two checks in a row found its progress
+// counter where it was, with more than StallTimeout of clock time since the
+// last check before the counter stopped. A clock jump — a GC pause, a steal
+// burst, a replay advancing its manual clock — therefore restarts no worker
+// that keeps stepping through layer ranges and offload attempts, nor one
+// whose batch is already answered.
 func (g *Gateway) checkWorkers() {
 	now := g.cfg.Clock.Now()
+	// A counter seen moving now moved after the previous check.
+	moved := g.lastCheck
+	g.lastCheck = now
 	g.mu.Lock()
 	workers := append([]*worker(nil), g.workers...)
 	g.mu.Unlock()
@@ -38,18 +48,31 @@ func (g *Gateway) checkWorkers() {
 		if w.abandoned.Load() {
 			continue
 		}
+		// cur before progress: serve() bumps progress before publishing a
+		// new batch, so a batch seen here never pairs with a stale count.
 		w.mu.Lock()
 		cur := w.cur
 		w.mu.Unlock()
-		if cur == nil {
-			// Idle or between batches: blocked in popBatch is healthy.
+		p := w.progress.Load()
+		if p != w.seenProgress || !holdsUnanswered(cur) {
+			w.seenProgress, w.seenAt = p, moved
 			continue
 		}
-		if now-time.Duration(w.heartbeat.Load()) <= g.cfg.StallTimeout {
+		if now-w.seenAt <= g.cfg.StallTimeout {
 			continue
 		}
 		g.restartWorker(w, cur)
 	}
+}
+
+// holdsUnanswered reports whether any request in batch is still unsettled.
+func holdsUnanswered(batch []*request) bool {
+	for _, r := range batch {
+		if !r.settled.Load() {
+			return true
+		}
+	}
+	return false
 }
 
 // restartWorker abandons a wedged worker, retires it (its stats and offload

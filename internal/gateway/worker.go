@@ -25,10 +25,16 @@ type worker struct {
 	// and replaced. The worker may still be blocked inside an offload; once
 	// that unblocks it exits its loop instead of stealing more work.
 	abandoned atomic.Bool
-	// heartbeat is the gateway-clock time (nanos) of the worker's last
-	// observable progress: batch pickup and batch completion. A worker whose
-	// heartbeat goes stale while it holds a batch is wedged.
-	heartbeat atomic.Int64
+	// progress counts the worker's observable steps: batch pickup, every
+	// edge layer range and offload attempt its executor reports, and batch
+	// completion. A worker holding unanswered requests whose count stands
+	// still across supervisor checks spanning StallTimeout is wedged.
+	progress atomic.Uint64
+	// seenProgress and seenAt are the supervisor's own bookkeeping (only
+	// its goroutine touches them): the count last observed and the time of
+	// the check before the one that first observed it.
+	seenProgress uint64
+	seenAt       time.Duration
 
 	mu    sync.Mutex
 	cur   []*request // batch currently executing; nil when idle
@@ -104,16 +110,10 @@ func (w *worker) serve(batch []*request) {
 	// deterministic clock's read sequence is unchanged by metering.
 	w.g.m.batchAssemble.Observe(durMS(now - newestEnq))
 
-	// Publish the batch for the supervisor: heartbeat first, then cur, so a
-	// watchdog that sees cur != nil always sees a heartbeat at least as
-	// fresh as the pickup. The defer stores the last value this worker read
-	// from the clock rather than reading it again: the batch's results are
-	// already delivered by then, so a fresh read would race the submitter's
-	// next Clock.Now and break deterministic replay. The supervisor only
-	// consults heartbeat while cur != nil, so the slightly stale value is
-	// never load-bearing.
-	end := now
-	w.heartbeat.Store(int64(now))
+	// Publish the batch for the supervisor. The progress bumps around it
+	// are plain counter increments, not clock reads, so a deterministic
+	// clock's read sequence is unchanged by supervision.
+	w.progress.Add(1)
 	w.mu.Lock()
 	w.cur = live
 	w.mu.Unlock()
@@ -121,7 +121,7 @@ func (w *worker) serve(batch []*request) {
 		w.mu.Lock()
 		w.cur = nil
 		w.mu.Unlock()
-		w.heartbeat.Store(int64(end))
+		w.progress.Add(1)
 	}()
 
 	v.inflight.Add(int64(len(live)))
@@ -145,7 +145,6 @@ func (w *worker) serve(batch []*request) {
 		outcomes, err = exec.InferBatch(xs, v.Cut)
 	}
 	execEnd := w.g.cfg.Clock.Now()
-	end = execEnd
 	batchDetail := fmt.Sprintf("size=%d", len(live))
 	if err != nil {
 		// Whole-batch rejection: answer every request with the error rather
@@ -207,6 +206,7 @@ func (w *worker) executor(v *Variant) *serving.SplitExecutor {
 		Client:        w.offloader,
 		FallbackLocal: true,
 		Metrics:       w.g.cfg.Metrics,
+		Progress:      func() { w.progress.Add(1) },
 	}
 	w.execs[v.Sig] = e
 	return e

@@ -59,16 +59,22 @@ func (b EnergyBreakdown) TotalMJ() float64 {
 // `cut` (the Estimator.EndToEnd convention), given the realised transfer and
 // cloud latencies during which the device idles.
 func (e EnergyModel) EdgeEnergy(m *nn.Model, cut int, transferMS, cloudMS float64) (EnergyBreakdown, error) {
-	if err := e.Validate(); err != nil {
-		return EnergyBreakdown{}, err
-	}
-	n := len(m.Layers)
-	if cut < -1 || cut >= n {
-		return EnergyBreakdown{}, fmt.Errorf("latency: cut %d out of range [-1,%d)", cut, n)
-	}
 	c, err := m.Costs()
 	if err != nil {
 		return EnergyBreakdown{}, err
+	}
+	return e.EdgeEnergyFrom(c, cut, transferMS, cloudMS)
+}
+
+// EdgeEnergyFrom is EdgeEnergy read from the model's cost table c
+// (m.Costs()), for callers that price many plans of one model.
+func (e EnergyModel) EdgeEnergyFrom(c *nn.Costs, cut int, transferMS, cloudMS float64) (EnergyBreakdown, error) {
+	if err := e.Validate(); err != nil {
+		return EnergyBreakdown{}, err
+	}
+	n := c.Len()
+	if cut < -1 || cut >= n {
+		return EnergyBreakdown{}, fmt.Errorf("latency: cut %d out of range [-1,%d)", cut, n)
 	}
 	var edgeMACCs int64
 	for i := 0; i <= cut; i++ {

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"cadmc/internal/parallel"
 	"cadmc/internal/tensor"
 )
 
@@ -16,107 +15,12 @@ func (n *Net) ForwardBatch(xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 
 // ForwardRangeBatch runs layers [from, to) over a batch of activations and
 // returns one output per input, bit-identical to running ForwardRange on
-// each input alone.
-//
-// The iteration order is layer-outer, sample-inner: one layer's weights are
-// streamed from memory once and reused across the whole batch instead of
-// once per request, which is where micro-batching pays on a memory-bound
-// edge device. Fully-connected layers — the worst offenders, their weight
-// matrices dwarf any activation — additionally take a dedicated batched
-// kernel that walks each weight row exactly once per batch.
+// each input alone. The inference executor (infer.go) fans the batch out
+// one sample per pool task, each running the whole range inline on its own
+// workspace, so the only fork/join per batch is the fan-out itself.
 func (n *Net) ForwardRangeBatch(xs []*tensor.Tensor, from, to int) ([]*tensor.Tensor, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("nn: batched forward over an empty batch")
 	}
-	if from < 0 || to > len(n.Model.Layers) || from > to {
-		return nil, fmt.Errorf("nn: forward range [%d,%d) invalid for %d layers", from, to, len(n.Model.Layers))
-	}
-	for b, x := range xs {
-		if x == nil {
-			return nil, fmt.Errorf("nn: batched forward: nil input at batch index %d", b)
-		}
-	}
-	cur := append([]*tensor.Tensor(nil), xs...)
-	// outs[b][i] is sample b's activation after layer i, for residual skips.
-	outs := make([][]*tensor.Tensor, len(xs))
-	for b := range outs {
-		outs[b] = make([]*tensor.Tensor, len(n.Model.Layers))
-	}
-	// Non-FC layers run batch-parallel on the worker pool: samples are
-	// independent (layers read shared weights and write fresh activations),
-	// and each sample's arithmetic is untouched, so batched logits stay
-	// bit-identical to the serial path at any GOMAXPROCS. results and errs
-	// are indexed per sample; chunks never overlap.
-	results := make([]layerResult, len(xs))
-	errs := make([]error, len(xs))
-	for i := from; i < to; i++ {
-		l := n.Model.Layers[i]
-		if l.Type == FC {
-			ys, err := fcForwardBatch(n.Weights[i], n.Biases[i], cur)
-			if err != nil {
-				return nil, fmt.Errorf("nn: batched forward layer %d (%s): %w", i, l.Type, err)
-			}
-			for b := range cur {
-				outs[b][i] = ys[b]
-				cur[b] = ys[b]
-			}
-			continue
-		}
-		parallel.For(len(cur), 1, func(blo, bhi int) {
-			for b := blo; b < bhi; b++ {
-				results[b], errs[b] = n.applyLayer(i, cur[b], func(src int) (*tensor.Tensor, error) {
-					if src == from-1 {
-						return xs[b], nil
-					}
-					if src < from {
-						return nil, fmt.Errorf("skip source %d precedes range start %d", src, from)
-					}
-					return outs[b][src], nil
-				})
-			}
-		})
-		for b := range cur {
-			if errs[b] != nil {
-				return nil, fmt.Errorf("nn: batched forward layer %d (%s): %w", i, l.Type, errs[b])
-			}
-			outs[b][i] = results[b].out
-			cur[b] = results[b].out
-		}
-	}
-	return cur, nil
-}
-
-// fcForwardBatch computes y_b = W·x_b + bias for every sample with a
-// row-outer loop: each weight row is loaded once per batch rather than once
-// per sample, turning B memory-bound matrix-vector products into one
-// weight-streaming pass. The per-sample accumulation order matches
-// fcForward exactly, so results are bit-identical to the unbatched path.
-func fcForwardBatch(w, b *tensor.Tensor, xs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	out, in := w.Shape[0], w.Shape[1]
-	ys := make([]*tensor.Tensor, len(xs))
-	for bi, x := range xs {
-		if x.Len() != in {
-			return nil, fmt.Errorf("fc input len %d at batch index %d, want %d", x.Len(), bi, in)
-		}
-		ys[bi] = tensor.New(out, 1, 1)
-	}
-	// Row-partitioned across the pool: each executor streams its own slice
-	// of weight rows over the whole batch, keeping the one-weight-pass
-	// amortisation while using every core. A given (row, sample) dot
-	// product is still a single serial accumulation — bit-identical to the
-	// unbatched path.
-	parallel.For(out, parallel.Grain(out, 2*in*len(xs)), func(lo, hi int) {
-		for o := lo; o < hi; o++ {
-			row := w.Data[o*in : (o+1)*in]
-			bias := b.Data[o]
-			for bi, x := range xs {
-				s := bias
-				for j, v := range x.Data {
-					s += row[j] * v
-				}
-				ys[bi].Data[o] = s
-			}
-		}
-	})
-	return ys, nil
+	return n.infer(xs, from, to)
 }

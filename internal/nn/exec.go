@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"cadmc/internal/parallel"
 	"cadmc/internal/tensor"
@@ -24,6 +25,10 @@ type Net struct {
 	// FireAt holds the composite parameters of Fire layers, keyed by layer
 	// index.
 	FireAt map[int]*FireParams
+
+	// plan is the inference executor's per-Net liveness and workspace pool,
+	// built on the first ForwardRange (infer.go).
+	plan atomic.Pointer[inferPlan]
 }
 
 // FireParams holds a Fire module's three convolutions: a 1×1 squeeze and the
@@ -138,8 +143,8 @@ func (n *Net) Forward(x *tensor.Tensor) (*tensor.Tensor, error) {
 }
 
 // ForwardFrom runs layers [from, end) on an activation produced by layer
-// from-1 — the cloud half of a partitioned inference. ForwardFrom(x, 0) is
-// equivalent to Forward(x). Residual adds whose skip source lies before
+// from-1 — the cloud half of a partitioned inference. ForwardFrom(x, 0)
+// equals Forward(x) bit for bit. Residual adds whose skip source lies before
 // `from` cannot execute (the activation never crossed the network); legal
 // cut points never produce that situation.
 func (n *Net) ForwardFrom(x *tensor.Tensor, from int) (*tensor.Tensor, error) {
@@ -147,33 +152,16 @@ func (n *Net) ForwardFrom(x *tensor.Tensor, from int) (*tensor.Tensor, error) {
 }
 
 // ForwardRange runs layers [from, to), returning the resulting activation —
-// the edge half of a partitioned inference when to < len(layers).
+// the edge half of a partitioned inference when to < len(layers). It is the
+// inference executor (infer.go) on a batch of one: x is never written, and
+// the result is fresh memory (an empty range returns x itself),
+// bit-identical to what Forward computes for the same layers.
 func (n *Net) ForwardRange(x *tensor.Tensor, from, to int) (*tensor.Tensor, error) {
-	if from < 0 || to > len(n.Model.Layers) || from > to {
-		return nil, fmt.Errorf("nn: forward range [%d,%d) invalid for %d layers", from, to, len(n.Model.Layers))
+	ys, err := n.infer([]*tensor.Tensor{x}, from, to)
+	if err != nil {
+		return nil, err
 	}
-	outs := make([]*tensor.Tensor, len(n.Model.Layers))
-	cur := x
-	for i := from; i < to; i++ {
-		res, err := n.applyLayer(i, cur, func(src int) (*tensor.Tensor, error) {
-			if src == from-1 {
-				// The skip source is exactly the boundary activation the
-				// caller handed in (a cut at the skip source is legal: the
-				// transferred tensor serves both paths).
-				return x, nil
-			}
-			if src < from {
-				return nil, fmt.Errorf("skip source %d precedes range start %d", src, from)
-			}
-			return outs[src], nil
-		})
-		if err != nil {
-			return nil, fmt.Errorf("nn: forward layer %d (%s): %w", i, n.Model.Layers[i].Type, err)
-		}
-		outs[i] = res.out
-		cur = res.out
-	}
-	return cur, nil
+	return ys[0], nil
 }
 
 // layerResult carries one layer's forward outputs.

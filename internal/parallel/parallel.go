@@ -55,7 +55,7 @@ var (
 	// tasks is the unbuffered hand-off to parked workers. Unbuffered is
 	// load-bearing: a send succeeds only if a worker is idle right now,
 	// which is what makes nested For calls deadlock-free.
-	tasks chan func()
+	tasks chan *forJob
 )
 
 // ensureWorkers grows the pool to at least want workers.
@@ -63,7 +63,7 @@ func ensureWorkers(want int) {
 	poolMu.Lock()
 	defer poolMu.Unlock()
 	if tasks == nil {
-		tasks = make(chan func())
+		tasks = make(chan *forJob)
 	}
 	for spawned < want {
 		spawned++
@@ -72,8 +72,9 @@ func ensureWorkers(want int) {
 		// pool's structured-concurrency contract (recognised by the
 		// nakedgo analyzer as a tracked launch).
 		go func() {
-			for f := range tasks {
-				f()
+			for job := range tasks {
+				job.run()
+				job.wg.Done()
 			}
 		}()
 	}
@@ -128,30 +129,10 @@ func For(n, grain int, fn func(lo, hi int)) {
 	// Dynamic chunk scheduling off a shared counter: executors pull the
 	// next unclaimed chunk until none remain. Scheduling order is
 	// nondeterministic; chunk contents are not.
-	var next atomic.Int64
-	body := func() {
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-	}
-
-	var wg sync.WaitGroup
-	help := func() {
-		defer wg.Done()
-		body()
-	}
+	job := &forJob{n: n, grain: grain, chunks: chunks, fn: fn}
 	enlisted := 0
 	for pass := 0; pass < 2; pass++ {
-		for enlisted < helpers && trySubmit(help, &wg) {
+		for enlisted < helpers && job.trySubmit() {
 			enlisted++
 		}
 		if enlisted > 0 || pass == 1 {
@@ -164,20 +145,41 @@ func For(n, grain int, fn func(lo, hi int)) {
 		runtime.Gosched()
 	}
 	forEnlisted.Add(int64(enlisted))
-	body()
-	wg.Wait()
+	job.run()
+	job.wg.Wait()
 }
 
-// trySubmit offers f to an idle pool worker without blocking. The WaitGroup
-// is incremented before the offer so a worker that grabs f immediately
-// cannot race wg.Wait; a failed offer undoes the increment.
-func trySubmit(f func(), wg *sync.WaitGroup) bool {
-	wg.Add(1)
+// forJob is one fanned-out For call: the chunk counter its executors pull
+// from and the WaitGroup the caller joins, in one allocation per call.
+type forJob struct {
+	next             atomic.Int64
+	wg               sync.WaitGroup
+	n, grain, chunks int
+	fn               func(lo, hi int)
+}
+
+// run executes chunks until none are left unclaimed.
+func (j *forJob) run() {
+	for {
+		c := int(j.next.Add(1)) - 1
+		if c >= j.chunks {
+			return
+		}
+		lo := c * j.grain
+		j.fn(lo, min(lo+j.grain, j.n))
+	}
+}
+
+// trySubmit offers the job to an idle pool worker without blocking. The
+// WaitGroup is incremented before the offer so a worker that takes the job
+// immediately cannot race wg.Wait; a failed offer undoes the increment.
+func (j *forJob) trySubmit() bool {
+	j.wg.Add(1)
 	select {
-	case tasks <- f:
+	case tasks <- j:
 		return true
 	default:
-		wg.Done()
+		j.wg.Done()
 		return false
 	}
 }

@@ -17,8 +17,8 @@ type BatchOutcome struct {
 }
 
 // InferBatch runs a micro-batch through the split in one batched edge pass:
-// the prefix [0, cut] executes via nn's batched forward (layer weights are
-// streamed once per batch, not once per request), then each item completes
+// the prefix [0, cut] executes via nn's batched forward (one fork/join per
+// batch, not one forward call per request), then each item completes
 // individually — edge-only, offloaded, or fallback under the executor's
 // usual policy. A non-nil error means the whole batch was rejected before
 // any item ran (bad cut, edge forward failure); otherwise the returned
@@ -51,6 +51,7 @@ func (e *SplitExecutor) inferBatch(xs []*tensor.Tensor, cut int, budget time.Dur
 		if err != nil {
 			return nil, fmt.Errorf("serving: batched edge forward: %w", err)
 		}
+		e.progress()
 	}
 	out := make([]BatchOutcome, len(xs))
 	for i, act := range acts {

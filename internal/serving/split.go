@@ -111,6 +111,10 @@ type SplitExecutor struct {
 	// (serving.route.*) and budget-shed counts (serving.budget.shed) in
 	// addition to the SplitStats the executor always keeps.
 	Metrics MetricSink
+	// Progress, when set, is called after every edge layer range the
+	// executor runs and before and after every offload attempt — the
+	// points a watchdog can tell a slow request from a wedged one by.
+	Progress func()
 
 	mu    sync.Mutex
 	stats SplitStats
@@ -121,6 +125,13 @@ func (e *SplitExecutor) Stats() SplitStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.stats
+}
+
+// progress reports a step of forward work to the watchdog, if any.
+func (e *SplitExecutor) progress() {
+	if e.Progress != nil {
+		e.Progress()
+	}
 }
 
 func (e *SplitExecutor) record(r Route) {
@@ -193,6 +204,7 @@ func (e *SplitExecutor) InferRoute(x *tensor.Tensor, cut int) ([]float64, Route,
 		if err != nil {
 			return nil, 0, err
 		}
+		e.progress()
 	}
 	return e.completeAct(act, cut)
 }
@@ -222,7 +234,9 @@ func (e *SplitExecutor) completeAct(act *tensor.Tensor, cut int) ([]float64, Rou
 		}
 		return nil, 0, errors.New("serving: partitioned inference needs an offload client")
 	}
+	e.progress()
 	logits, err := e.Client.Offload(e.ModelID, cut, act)
+	e.progress()
 	if err == nil {
 		e.record(RouteOffloaded)
 		return logits, RouteOffloaded, nil
@@ -252,7 +266,9 @@ func (e *SplitExecutor) completeActBudget(act *tensor.Tensor, cut int, budget ti
 	if !ok {
 		return e.completeAct(act, cut)
 	}
+	e.progress()
 	logits, err := d.OffloadWithin(e.ModelID, cut, act, budget)
+	e.progress()
 	if err == nil {
 		e.record(RouteOffloaded)
 		return logits, RouteOffloaded, nil
@@ -275,6 +291,7 @@ func (e *SplitExecutor) fallback(act *tensor.Tensor, cut int, cause error) ([]fl
 	if err != nil {
 		return nil, 0, fmt.Errorf("serving: edge fallback (after %v): %w", cause, err)
 	}
+	e.progress()
 	e.record(RouteFallback)
 	return append([]float64(nil), out.Data...), RouteFallback, nil
 }

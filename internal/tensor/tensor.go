@@ -179,7 +179,7 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 		return nil, fmt.Errorf("tensor: matmul inner dims %d vs %d", k, k2)
 	}
 	c := New(m, n)
-	matmulInto(a.Data, b.Data, c.Data, m, k, n)
+	matmulInto(a.Data, b.Data, c.Data, m, k, n, nil, false)
 	return c, nil
 }
 
@@ -198,25 +198,27 @@ func MatMulInto(a, b, dst *Tensor) error {
 	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		return fmt.Errorf("tensor: matmul dst %v, want [%d %d]", dst.Shape, m, n)
 	}
-	matmulInto(a.Data, b.Data, dst.Data, m, k, n)
+	matmulInto(a.Data, b.Data, dst.Data, m, k, n, nil, false)
 	return nil
 }
 
 // matmulInto row-partitions C across the worker pool. Each chunk owns rows
 // [lo, hi) of C exclusively, so no synchronisation is needed beyond the
-// pool's fork/join.
-func matmulInto(a, b, c []float64, m, k, n int) {
+// pool's fork/join. bias and relu are matmulRows' epilogue.
+func matmulInto(a, b, c []float64, m, k, n int, bias []float64, relu bool) {
 	parallel.For(m, parallel.Grain(m, 2*k*n), func(lo, hi int) {
-		matmulRows(a, b, c, k, n, lo, hi)
+		matmulRows(a, b, c, k, n, lo, hi, bias, relu)
 	})
 }
 
 // matmulRows computes C rows [lo, hi) with a two-row register-blocked ikj
 // kernel: each row of B is streamed from memory once per row *pair* of A,
 // halving B bandwidth versus the plain loop. Per output element the
-// products still accumulate in ascending-p order with the exact av==0 skip
-// of the serial kernel, so blocking never changes a bit of the result.
-func matmulRows(a, b, c []float64, k, n, lo, hi int) {
+// products still accumulate in ascending-p order from +0 with the exact
+// av==0 skip of the serial kernel, so blocking never changes a bit of the
+// result. A non-nil bias or relu applies the inference epilogue to each
+// finished row while it is still in cache (see finishRow).
+func matmulRows(a, b, c []float64, k, n, lo, hi int, bias []float64, relu bool) {
 	i := lo
 	for ; i+1 < hi; i += 2 {
 		r0 := a[i*k : (i+1)*k]
@@ -246,6 +248,8 @@ func matmulRows(a, b, c []float64, k, n, lo, hi int) {
 				}
 			}
 		}
+		finishRow(c0, bias, i, relu)
+		finishRow(c1, bias, i+1, relu)
 	}
 	for ; i < hi; i++ {
 		arow := a[i*k : (i+1)*k]
@@ -260,7 +264,45 @@ func matmulRows(a, b, c []float64, k, n, lo, hi int) {
 				crow[j] += av * bv
 			}
 		}
+		finishRow(crow, bias, i, relu)
 	}
+}
+
+// finishRow is the fused epilogue of output row i: acc + bias[i] with the
+// same single rounding as adding the bias in a separate pass, then ReLU.
+func finishRow(row, bias []float64, i int, relu bool) {
+	switch {
+	case bias != nil && relu:
+		bv := bias[i]
+		for j, v := range row {
+			row[j] = Relu(v + bv)
+		}
+	case bias != nil:
+		bv := bias[i]
+		for j := range row {
+			row[j] += bv
+		}
+	case relu:
+		for j, v := range row {
+			row[j] = Relu(v)
+		}
+	}
+}
+
+// Relu is `if v < 0 { v = 0 }` without the branch, which mispredicts half
+// the time on activations: it zeroes exactly the values that compare below
+// zero — negative finite values and −Inf — and returns −0 and every NaN
+// with their bits unchanged.
+func Relu(v float64) float64 {
+	u := math.Float64bits(v)
+	// As unsigned integers, the values below zero are 0x8000000000000001
+	// (the smallest negative subnormal) through 0xFFF0000000000000 (−Inf);
+	// −0 sits just below that run and the negative NaNs just above it.
+	keep := ^uint64(0)
+	if u-0x8000000000000001 <= 0xFFF0000000000000-0x8000000000000001 {
+		keep = 0
+	}
+	return math.Float64frombits(u & keep)
 }
 
 // Transpose returns the transpose of a 2-D tensor.

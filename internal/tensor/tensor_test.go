@@ -181,3 +181,33 @@ func TestScaleAndAddInPlace(t *testing.T) {
 		t.Fatal("expected length-mismatch error")
 	}
 }
+
+// Relu must agree bit for bit with the branchy `if v < 0 { v = 0 }` it
+// replaces, on every class of float64: both zeros, subnormals, normals,
+// both infinities and NaNs of either sign with assorted payloads.
+func TestReluMatchesBranch(t *testing.T) {
+	branch := func(v float64) float64 {
+		if v < 0 {
+			v = 0
+		}
+		return v
+	}
+	bits := []uint64{
+		0, 1, 0x000FFFFFFFFFFFFF, 0x0010000000000000, 0x3FF0000000000000,
+		0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, 0x7FF0000000000001,
+		0x7FF8000000000000, 0x7FF8000000000001, 0x7FFFFFFFFFFFFFFF,
+	}
+	for _, b := range append([]uint64(nil), bits...) {
+		bits = append(bits, b|1<<63)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 10000; i++ {
+		bits = append(bits, rng.Uint64())
+	}
+	for _, b := range bits {
+		v := math.Float64frombits(b)
+		if got, want := math.Float64bits(Relu(v)), math.Float64bits(branch(v)); got != want {
+			t.Fatalf("Relu(%#x) = %#x, want %#x", b, got, want)
+		}
+	}
+}

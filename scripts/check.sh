@@ -67,6 +67,11 @@ go test -race -count=2 -run 'Determinism' \
     ./internal/parallel ./internal/tensor ./internal/nn ./internal/report
 go test -count=2 -run 'BitExact|Pinned' ./internal/rl ./internal/core
 
+echo "== inference executor (bit-exact against the training forward, allocation bound, GOMAXPROCS 1/2/4)"
+for procs in 1 2 4; do
+    GOMAXPROCS=$procs go test -count=1 -run 'TestInferenceExecutorBitExact|TestInferenceForwardAllocs' ./internal/nn
+done
+
 echo "== telemetry determinism (-count=2: snapshots and traced replays must be bit-identical)"
 go test -race -count=2 -run 'Determinism|Snapshot|Trace|Registry' ./internal/telemetry
 go test -race -count=2 -run 'TestRunTraceBitIdenticalReplay' ./internal/emulator
@@ -86,5 +91,10 @@ echo "== wirebench gate (binary codec must hold 3x gob throughput, 10x fewer all
 wire_json=$(mktemp)
 go run ./cmd/wirebench -benchtime 100ms -out "$wire_json" -min-speedup 3 -min-alloc-ratio 10
 rm -f "$wire_json"
+
+echo "== kernbench gate (batch-8 inference forward must hold 1.3x the training forward, at most 2 allocs/sample)"
+kern_json=$(mktemp)
+go run ./cmd/kernbench -benchtime 100ms -out "$kern_json"
+rm -f "$kern_json"
 
 echo "all checks passed"
